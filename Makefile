@@ -6,13 +6,18 @@ GO ?= go
 # The staticcheck release CI pins; needs network on first run.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race lint simlint staticcheck doccheck fmt bench-smoke bench-serve
+.PHONY: build test perfbench-test race lint simlint staticcheck doccheck fmt bench-smoke bench-serve
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench is a nested module, so the root ./... patterns stop at it.
+perfbench-test:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
 
 race:
 	$(GO) test -race ./...

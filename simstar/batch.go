@@ -530,15 +530,13 @@ func (e *Engine) runBlockKernel(ctx context.Context, st *engineState, kernel blo
 	if tol := e.cfg.tolerance; tol >= MinTolerance {
 		switch kernel {
 		case blockGeometric:
-			backwardT, _ := st.kernelTransposed()
 			opt := e.cfg.coreOptions()
 			opt.Parallel = sw
-			return core.ApproxMultiSourceGeometricFromTransition(ctx, st.kernelBackward(), backwardT, nodes, tol, opt)
+			return core.ApproxMultiSourceGeometricFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), nodes, tol, opt)
 		case blockExponential:
-			backwardT, _ := st.kernelTransposed()
 			opt := e.cfg.coreOptions()
 			opt.Parallel = sw
-			return core.ApproxMultiSourceExponentialFromTransition(ctx, st.kernelBackward(), backwardT, nodes, tol, opt)
+			return core.ApproxMultiSourceExponentialFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), nodes, tol, opt)
 		case blockRWR:
 			opt := e.cfg.rwrOptions()
 			opt.Parallel = sw
@@ -546,28 +544,21 @@ func (e *Engine) runBlockKernel(ctx context.Context, st *engineState, kernel blo
 		}
 		panic("simstar: unreachable block kernel")
 	}
-	var backwardT, forwardT *sparse.CSR
-	switch kernel {
-	case blockGeometric, blockExponential:
-		backwardT, _ = st.kernelTransposed()
-	case blockRWR:
-		_, forwardT = st.kernelTransposed()
-	}
 	switch kernel {
 	case blockGeometric:
 		opt := e.cfg.coreOptions()
 		opt.Parallel = sw
-		scores, err := core.MultiSourceGeometricFromTransition(ctx, st.kernelBackward(), backwardT, nodes, opt)
+		scores, err := core.MultiSourceGeometricFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), nodes, opt)
 		return scores, nil, err
 	case blockExponential:
 		opt := e.cfg.coreOptions()
 		opt.Parallel = sw
-		scores, err := core.MultiSourceExponentialFromTransition(ctx, st.kernelBackward(), backwardT, nodes, opt)
+		scores, err := core.MultiSourceExponentialFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), nodes, opt)
 		return scores, nil, err
 	case blockRWR:
 		opt := e.cfg.rwrOptions()
 		opt.Parallel = sw
-		scores, err := rwr.MultiSourceFromTransition(ctx, st.kernelForward(), forwardT, nodes, opt)
+		scores, err := rwr.MultiSourceFromTransition(ctx, st.kernelForward(), st.kernelForwardT(), nodes, opt)
 		return scores, nil, err
 	}
 	panic("simstar: unreachable block kernel")

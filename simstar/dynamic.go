@@ -126,7 +126,16 @@ func (e *Engine) finishEdits(res dyngraph.Result) EditStats {
 	if res.Materialized {
 		old := e.state.Load()
 		g := res.Snapshot.Graph
-		ns := newEngineState(g, res.Snapshot.Epoch, e.cfg.observer)
+		// The new epoch inherits the old one's scratch pools, warm arenas
+		// included, unless the edits grew the graph: arenas of the old
+		// dimension must never reach a kernel of the new one. In-flight
+		// queries on the old state keep returning scratch to the set they
+		// borrowed from.
+		pools := old.pools
+		if g.N() != old.g.N() {
+			pools = newScratchPools(g.N(), e.cfg.observer)
+		}
+		ns := newEngineState(g, res.Snapshot.Epoch, pools)
 		t0 := time.Now()
 		ns.backward = sparse.UpdateBackwardTransition(old.backward, g, res.Delta.DirtyIn)
 		ns.forward = sparse.UpdateForwardTransition(old.forward, g, res.Delta.DirtyOut)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -49,10 +50,56 @@ func churn(rng *rand.Rand, n int, set map[[2]int]bool, count int) []simstar.Edit
 	return edits
 }
 
+// pooledAnswers runs query node q down every path that borrows pooled
+// scratch — kernel workspaces, stream buffers and sweepers, exact and
+// sieved — and returns each answer under the path's name.
+func pooledAnswers(t *testing.T, eng *simstar.Engine, q int) map[string]any {
+	t.Helper()
+	ctx := context.Background()
+	into, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := eng.TopKStream(ctx, simstar.MeasureExponential, q, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []simstar.Ranked
+	for r, ok := stream.Next(); ok; r, ok = stream.Next() {
+		streamed = append(streamed, r)
+	}
+	sieved, err := eng.With(simstar.WithTolerance(1e-3)).SingleSource(ctx, simstar.MeasureGeometric, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := eng.BatchTopK(ctx, []simstar.Query{
+		{Measure: simstar.MeasureGeometric, Node: q, K: 5},
+		{Measure: simstar.MeasureRWR, Node: 0, K: 5},
+	})
+	for _, r := range batch {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	parallel, err := eng.With(simstar.WithParallelSweeps(2)).SingleSource(ctx, simstar.MeasureRWR, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]any{
+		"SingleSourceInto":    into,
+		"TopKStream":          streamed,
+		"WithTolerance":       sieved,
+		"BatchTopK":           [][]simstar.Ranked{batch[0].Top, batch[1].Top},
+		"WithParallelSweeps2": parallel,
+	}
+}
+
 // The acceptance contract of the dynamic subsystem: after ApplyEdits, every
 // registered measure must produce scores bitwise-identical — not merely
 // within tolerance — to a from-scratch engine built on the mutated graph,
-// through both the single-source and the all-pairs engine paths.
+// through both the single-source and the all-pairs engine paths, and
+// through every pooled path even though the edit grows the graph under
+// pools still holding scratch of the old node count.
 func TestApplyEditsBitwiseConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 40
@@ -65,8 +112,10 @@ func TestApplyEditsBitwiseConformance(t *testing.T) {
 			dedup = append(dedup, e)
 		}
 	}
-	opts := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4)}
+	// Cache off, so every answer compared below comes from a kernel run.
+	opts := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1)}
 	eng := simstar.NewEngine(simstar.GraphFromEdges(n, dedup), opts...)
+	pooledAnswers(t, eng, 7)
 
 	edits := churn(rng, n, set, 12)
 	edits = append(edits, simstar.InsertEdge(n+1, 0)) // and grow the graph
@@ -88,6 +137,14 @@ func TestApplyEditsBitwiseConformance(t *testing.T) {
 	if eng.Graph().N() != fresh.Graph().N() || eng.Graph().M() != fresh.Graph().M() {
 		t.Fatalf("graphs diverge: %d/%d vs %d/%d",
 			eng.Graph().N(), eng.Graph().M(), fresh.Graph().N(), fresh.Graph().M())
+	}
+	for _, q := range []int{7, n + 1} {
+		got, want := pooledAnswers(t, eng, q), pooledAnswers(t, fresh, q)
+		for path := range want {
+			if !reflect.DeepEqual(got[path], want[path]) {
+				t.Errorf("%s(%d) after growth = %v, want %v (bitwise)", path, q, got[path], want[path])
+			}
+		}
 	}
 	ctx := context.Background()
 	for _, name := range simstar.Names() {

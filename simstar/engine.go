@@ -74,7 +74,7 @@ type Engine struct {
 
 // engineState is everything one graph epoch serves queries from. All fields
 // are immutable after the state is published (the lazily-built members and
-// the workspace pool synchronise internally), so readers share it freely.
+// the scratch pools synchronise internally), so readers share it freely.
 type engineState struct {
 	g     *Graph
 	epoch uint64
@@ -91,17 +91,40 @@ type engineState struct {
 	// copies.
 	layout *layoutState
 
-	// pool recycles the kernel workspaces of the exact single-source fast
-	// paths, so steady-state queries allocate nothing beyond their result.
-	// Per-state because the workspaces are dimensioned to this epoch's node
-	// count.
-	pool sync.Pool
+	// pools is the per-query scratch the fast paths borrow. It is a separate
+	// allocation, never embedded: the runtime's list of used pools holds
+	// each pool until the second GC after its last use, and a pool inside
+	// the state would keep a superseded epoch's graph and operators
+	// reachable with it. Consecutive epochs with one node count share a set
+	// (see finishEdits), so an epoch's first queries reuse warm arenas.
+	pools *scratchPools
 
-	// streamPool recycles the score/exclusion scratch of the TopKStream
-	// fast path, so a streamed top-k query materialises no per-query O(n)
-	// vector. Separate from pool because the kernels reset their workspace
-	// — the scores under selection cannot share it.
-	streamPool sync.Pool
+	// transitionTime is what building (epoch 0) or incrementally refreshing
+	// (later epochs) the two transition matrices cost.
+	transitionTime time.Duration
+}
+
+// newEngineState assembles the shell of an epoch state around its scratch
+// pools: the transition matrices, compression and layout are filled in by
+// the caller.
+func newEngineState(g *Graph, epoch uint64, pools *scratchPools) *engineState {
+	return &engineState{g: g, epoch: epoch, tr: &transposes{}, pools: pools}
+}
+
+// scratchPools recycles the per-query scratch of the fast paths for one
+// node count. The workspaces and streaming buffers are dimensioned to that
+// count, so a state of another count must not borrow from the set.
+type scratchPools struct {
+	// workspaces recycles the kernel workspaces of the exact single-source
+	// fast paths, so steady-state queries allocate nothing beyond their
+	// result.
+	workspaces sync.Pool
+
+	// streams recycles the score/exclusion scratch of the TopKStream fast
+	// path, so a streamed top-k query materialises no per-query O(n)
+	// vector. Separate from workspaces because the kernels reset their
+	// workspace — the scores under selection cannot share it.
+	streams sync.Pool
 
 	// sweepers recycles the intra-query sweep-parallelism worker pools
 	// (sparse.Sweeper) queries borrow under WithParallelSweeps. One sweeper
@@ -110,29 +133,23 @@ type engineState struct {
 	// its goroutines still parked, so steady-state parallel queries spawn
 	// nothing and allocate nothing.
 	sweepers sync.Pool
-
-	// transitionTime is what building (epoch 0) or incrementally refreshing
-	// (later epochs) the two transition matrices cost.
-	transitionTime time.Duration
 }
 
-// newEngineState assembles the shell of an epoch state: the transition
-// matrices, compression and layout are filled in by the caller. A non-nil
-// observer counts the pool misses — the workspace builds the pool could not
-// serve from a recycled arena (every build allocates anyway, so the hook is
-// off the zero-alloc path by construction).
-func newEngineState(g *Graph, epoch uint64, o *Observer) *engineState {
-	st := &engineState{g: g, epoch: epoch, tr: &transposes{}}
-	n := g.N()
-	st.pool.New = func() any {
+// newScratchPools builds an empty set for n-node states. A non-nil observer
+// counts the pool misses — the workspace builds the pool could not serve
+// from a recycled arena (every build allocates anyway, so the hook is off
+// the zero-alloc path by construction).
+func newScratchPools(n int, o *Observer) *scratchPools {
+	p := &scratchPools{}
+	p.workspaces.New = func() any {
 		if o != nil {
 			o.poolMisses.Inc()
 		}
 		return sparse.NewWorkspace(n)
 	}
-	st.streamPool.New = func() any { return &streamScratch{scores: make([]float64, n)} }
-	st.sweepers.New = func() any { return sparse.NewSweeper(1) }
-	return st
+	p.streams.New = func() any { return &streamScratch{scores: make([]float64, n)} }
+	p.sweepers.New = func() any { return sparse.NewSweeper(1) }
+	return p
 }
 
 // layoutGen numbers every layout ever derived, so result-cache keys can
@@ -177,27 +194,26 @@ func newLayoutState(mode RelabelMode, g *Graph, backward, forward *sparse.CSR) *
 	}
 }
 
-// transposes is a lazily-built pair Qᵀ, Wᵀ for one operator pair.
+// transposes holds the transposes Qᵀ and Wᵀ of one operator pair, each
+// built on its first use and independently of the other: sieved SimRank*
+// reads need only Qᵀ, and a parallel exact sweep needs only the transpose
+// of the operator it sweeps.
 type transposes struct {
-	once      sync.Once
-	backwardT *sparse.CSR
-	forwardT  *sparse.CSR
+	backward, forward lazyTranspose
 }
 
-// of returns the materialised transposes of (backward, forward), building
-// them on first use. The O(m) build is paid once per epoch, like the
-// transitions themselves, but only by callers of the batch and sieved paths.
-func (tr *transposes) of(backward, forward *sparse.CSR) (backwardT, forwardT *sparse.CSR) {
-	tr.once.Do(func() {
-		tr.backwardT = backward.Transpose()
-		tr.forwardT = forward.Transpose()
-	})
-	return tr.backwardT, tr.forwardT
+// lazyTranspose is one transpose, materialised once per epoch like the
+// transitions themselves, but only by callers of the batch, sieved and
+// parallel paths.
+type lazyTranspose struct {
+	once sync.Once
+	t    *sparse.CSR
 }
 
-// transposed returns the natural-order transposes.
-func (st *engineState) transposed() (backwardT, forwardT *sparse.CSR) {
-	return st.tr.of(st.backward, st.forward)
+// of returns the transpose of m, building it on first use.
+func (lt *lazyTranspose) of(m *sparse.CSR) *sparse.CSR {
+	lt.once.Do(func() { lt.t = m.Transpose() })
+	return lt.t
 }
 
 // The kernel* accessors return the operators the single-source and batch
@@ -218,11 +234,18 @@ func (st *engineState) kernelForward() *sparse.CSR {
 	return st.forward
 }
 
-func (st *engineState) kernelTransposed() (backwardT, forwardT *sparse.CSR) {
+func (st *engineState) kernelBackwardT() *sparse.CSR {
 	if st.layout != nil {
-		return st.layout.tr.of(st.layout.backward, st.layout.forward)
+		return st.layout.tr.backward.of(st.layout.backward)
 	}
-	return st.transposed()
+	return st.tr.backward.of(st.backward)
+}
+
+func (st *engineState) kernelForwardT() *sparse.CSR {
+	if st.layout != nil {
+		return st.layout.tr.forward.of(st.layout.forward)
+	}
+	return st.tr.forward.of(st.forward)
 }
 
 // layoutKey is the layout generation for result-cache keys: 0 without
@@ -279,13 +302,16 @@ func (st *engineState) externalize(scores []float64, ws *sparse.Workspace) {
 	}
 }
 
-// getWS borrows a kernel workspace from the state's pool; putWS returns it.
-func (st *engineState) getWS() *sparse.Workspace   { return st.pool.Get().(*sparse.Workspace) }
-func (st *engineState) putWS(ws *sparse.Workspace) { st.pool.Put(ws) }
+// getWS borrows a kernel workspace from the state's pools; putWS returns it.
+func (st *engineState) getWS() *sparse.Workspace {
+	return st.pools.workspaces.Get().(*sparse.Workspace)
+}
+
+func (st *engineState) putWS(ws *sparse.Workspace) { st.pools.workspaces.Put(ws) }
 
 // getSweeper borrows a sweep-parallelism worker pool; putSweeper returns it.
-func (st *engineState) getSweeper() *sparse.Sweeper   { return st.sweepers.Get().(*sparse.Sweeper) }
-func (st *engineState) putSweeper(sw *sparse.Sweeper) { st.sweepers.Put(sw) }
+func (st *engineState) getSweeper() *sparse.Sweeper   { return st.pools.sweepers.Get().(*sparse.Sweeper) }
+func (st *engineState) putSweeper(sw *sparse.Sweeper) { st.pools.sweepers.Put(sw) }
 
 // sweeperFor borrows a sweeper configured to cfg's WithParallelSweeps
 // setting, or nil when the query should run its sweeps serially (the
@@ -386,7 +412,7 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 	e.store = dyngraph.New(g,
 		dyngraph.WithInterval(e.cfg.epochInterval),
 		dyngraph.WithBaseEpoch(e.cfg.baseEpoch))
-	st := newEngineState(g, e.cfg.baseEpoch, e.cfg.observer)
+	st := newEngineState(g, e.cfg.baseEpoch, newScratchPools(g.N(), e.cfg.observer))
 	t0 := time.Now()
 	st.backward = sparse.BackwardTransition(g)
 	st.forward = sparse.ForwardTransition(g)
@@ -638,17 +664,15 @@ func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, measu
 		)
 		switch builtin {
 		case MeasureGeometric, MeasureGeometricMemo:
-			backwardT, _ := st.kernelTransposed()
 			opt := e.cfg.coreOptions()
 			opt.Trace = kt
 			opt.Parallel = sw
-			scores, maxErr, err = core.ApproxSingleSourceGeometricFromTransition(ctx, st.kernelBackward(), backwardT, qi, tol, opt)
+			scores, maxErr, err = core.ApproxSingleSourceGeometricFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, tol, opt)
 		case MeasureExponential, MeasureExponentialMemo:
-			backwardT, _ := st.kernelTransposed()
 			opt := e.cfg.coreOptions()
 			opt.Trace = kt
 			opt.Parallel = sw
-			scores, maxErr, err = core.ApproxSingleSourceExponentialFromTransition(ctx, st.kernelBackward(), backwardT, qi, tol, opt)
+			scores, maxErr, err = core.ApproxSingleSourceExponentialFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, tol, opt)
 		case MeasureRWR:
 			opt := e.cfg.rwrOptions()
 			opt.Trace = kt
@@ -691,7 +715,7 @@ func (e *Engine) exactSingleSourceInto(ctx context.Context, st *engineState, bui
 		opt.Trace = kt
 		if sw != nil {
 			opt.Parallel = sw
-			opt.Transposed, _ = st.kernelTransposed()
+			opt.Transposed = st.kernelBackwardT()
 		}
 		return core.SingleSourceGeometricWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
 	case MeasureExponential, MeasureExponentialMemo:
@@ -699,7 +723,7 @@ func (e *Engine) exactSingleSourceInto(ctx context.Context, st *engineState, bui
 		opt.Trace = kt
 		if sw != nil {
 			opt.Parallel = sw
-			opt.Transposed, _ = st.kernelTransposed()
+			opt.Transposed = st.kernelBackwardT()
 		}
 		return core.SingleSourceExponentialWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
 	case MeasureRWR:
@@ -707,7 +731,7 @@ func (e *Engine) exactSingleSourceInto(ctx context.Context, st *engineState, bui
 		opt.Trace = kt
 		if sw != nil {
 			opt.Parallel = sw
-			_, opt.Transposed = st.kernelTransposed()
+			opt.Transposed = st.kernelForwardT()
 		}
 		return rwr.SingleSourceWS(ctx, st.kernelForward(), qi, opt, ws, dst)
 	}

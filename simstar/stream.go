@@ -19,10 +19,10 @@ type streamScratch struct {
 	exclude []int
 }
 
-// getStream borrows a streaming scratch from the state's pool; putStream
+// getStream borrows a streaming scratch from the state's pools; putStream
 // returns it.
-func (st *engineState) getStream() *streamScratch   { return st.streamPool.Get().(*streamScratch) }
-func (st *engineState) putStream(sc *streamScratch) { st.streamPool.Put(sc) }
+func (st *engineState) getStream() *streamScratch   { return st.pools.streams.Get().(*streamScratch) }
+func (st *engineState) putStream(sc *streamScratch) { st.pools.streams.Put(sc) }
 
 // TopKStream is a lazily-consumed top-k result: the k selected entries,
 // already in final order (score descending, ties by ascending node id),
@@ -169,7 +169,7 @@ func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, e
 			opt.Trace = kt
 			if sw != nil {
 				opt.Parallel = sw
-				opt.Transposed, _ = st.kernelTransposed()
+				opt.Transposed = st.kernelBackwardT()
 			}
 			top, err = core.SingleSourceGeometricTopKWS(ctx, st.kernelBackward(), q, kk, opt, ws, sc.scores, dst, sc.exclude...)
 		case MeasureExponential, MeasureExponentialMemo:
@@ -177,7 +177,7 @@ func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, e
 			opt.Trace = kt
 			if sw != nil {
 				opt.Parallel = sw
-				opt.Transposed, _ = st.kernelTransposed()
+				opt.Transposed = st.kernelBackwardT()
 			}
 			top, err = core.SingleSourceExponentialTopKWS(ctx, st.kernelBackward(), q, kk, opt, ws, sc.scores, dst, sc.exclude...)
 		case MeasureRWR:
@@ -185,7 +185,7 @@ func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, e
 			opt.Trace = kt
 			if sw != nil {
 				opt.Parallel = sw
-				_, opt.Transposed = st.kernelTransposed()
+				opt.Transposed = st.kernelForwardT()
 			}
 			top, err = rwr.SingleSourceTopKWS(ctx, st.kernelForward(), q, kk, opt, ws, sc.scores, dst, sc.exclude...)
 		}
