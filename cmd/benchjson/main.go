@@ -15,10 +15,10 @@
 // 100k-node degree-3 graph whose real locality is hidden behind scrambled
 // ids, across the WithRelabeling layouts, plus the pooled zero-allocation
 // SingleSourceInto loop (with and without a live Observer — the "obs"
-// member reports the instrumentation overhead) and a 64-query blocked
-// batch. The "scaling" member repeats the pooled loop with
-// WithParallelSweeps(-1) to record the intra-query fan-out speedup for
-// the runner's core count.
+// member reports the instrumentation overhead) and a 64-query MultiSource
+// batch, answered by single-source fan-out. The "scaling" member repeats
+// the pooled loop with WithParallelSweeps(-1) to record the intra-query
+// fan-out speedup for the runner's core count.
 package main
 
 import (
@@ -225,7 +225,7 @@ func main() {
 		{pooledOff, pooled(degree)},
 		{pooledOn, pooled(observed)},
 		{"engine_single_source_rwr_degree", single(degree, simstar.MeasureRWR)},
-		{"engine_multi_source_block64_degree", func(b *testing.B) {
+		{"engine_multi_source_64_degree", func(b *testing.B) {
 			queries := make([]simstar.Query, 64)
 			for i := range queries {
 				queries[i] = simstar.Query{Measure: simstar.MeasureGeometric, Node: (i * 1117) % g.N()}

@@ -775,13 +775,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		tr = &obs.Trace{Node: -1, Queries: len(queries), Epoch: eng.Epoch()}
 	}
 	start := time.Now()
-	// The traced variants record the batch planner's per-group routing in
-	// tr.Plan; with tr nil they are exactly BatchTopK/MultiSource.
 	var results []simstar.Result
 	if topk {
-		results = eng.BatchTopKTrace(ctx, queries, tr)
+		results = eng.BatchTopK(ctx, queries)
 	} else {
-		results = eng.MultiSourceTrace(ctx, queries, tr)
+		results = eng.MultiSource(ctx, queries)
 	}
 	if tr != nil {
 		tr.AddSpan("batch", time.Since(start))

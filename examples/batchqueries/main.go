@@ -1,8 +1,9 @@
 // Batched multi-source queries: the serving-path example. A recommender
 // that must rank "related papers" for every paper a user has open does not
 // issue one query at a time — it hands the whole working set to
-// Engine.BatchTopK, which serves cache hits first, stacks same-measure
-// queries into blocked kernels, and fans the rest across a worker pool.
+// Engine.BatchTopK, which answers duplicate queries once and fans the
+// distinct ones across a worker pool, each through the same cache probe
+// and pooled single-source kernel a lone query takes.
 //
 //	go run ./examples/batchqueries
 package main

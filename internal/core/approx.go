@@ -41,24 +41,6 @@ func ApproxSingleSourceGeometricFromTransition(ctx context.Context, qm, qt *spar
 	return ws.run(ctx, qm, qt, q, tol)
 }
 
-// ApproxMultiSourceGeometricFromTransition answers one sieved geometric
-// single-source query per entry of nodes, sharing the kernel workspace
-// across queries (each query gets the full tolerance; certificates are
-// per-query). Result i and MaxError i correspond to nodes[i].
-func ApproxMultiSourceGeometricFromTransition(ctx context.Context, qm, qt *sparse.CSR, nodes []int, tol float64, opt Options) ([][]float64, []float64, error) {
-	ws := newApproxGeoWS(qm.R, opt)
-	out := make([][]float64, len(nodes))
-	errs := make([]float64, len(nodes))
-	for i, q := range nodes {
-		scores, bound, err := ws.run(ctx, qm, qt, q, tol)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[i], errs[i] = scores, bound
-	}
-	return out, errs, nil
-}
-
 // approxGeoWS is the reusable workspace of the sieved geometric kernel: the
 // ping-pong frontiers and the per-α accumulators, all of dimension n, plus
 // the precomputed downstream tail weights.
@@ -199,23 +181,6 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 func ApproxSingleSourceExponentialFromTransition(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options) ([]float64, float64, error) {
 	ws := newApproxExpWS(qm.R, opt)
 	return ws.run(ctx, qm, qt, q, tol)
-}
-
-// ApproxMultiSourceExponentialFromTransition answers one sieved exponential
-// single-source query per entry of nodes, sharing the kernel workspace
-// across queries. Result i and MaxError i correspond to nodes[i].
-func ApproxMultiSourceExponentialFromTransition(ctx context.Context, qm, qt *sparse.CSR, nodes []int, tol float64, opt Options) ([][]float64, []float64, error) {
-	ws := newApproxExpWS(qm.R, opt)
-	out := make([][]float64, len(nodes))
-	errs := make([]float64, len(nodes))
-	for i, q := range nodes {
-		scores, bound, err := ws.run(ctx, qm, qt, q, tol)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[i], errs[i] = scores, bound
-	}
-	return out, errs, nil
 }
 
 // approxExpWS is the sieved exponential kernel's workspace: two ping-pong

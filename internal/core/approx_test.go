@@ -63,58 +63,6 @@ func TestApproxExponentialCertificate(t *testing.T) {
 	}
 }
 
-// The multi-source wrappers reuse one workspace across queries; residue from
-// an earlier query leaking into a later one would break the certificate, so
-// every result must match its standalone single-source run exactly.
-func TestApproxMultiSourceMatchesSingleSource(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(3))
-	g := randomApproxGraph(rng, 50, 150)
-	qm := sparse.BackwardTransition(g)
-	qt := qm.Transpose()
-	opt := Options{C: 0.6, K: 5}
-	nodes := []int{0, 7, 7, 13, 49}
-	const tol = 1e-4
-
-	multi, errsG, err := ApproxMultiSourceGeometricFromTransition(ctx, qm, qt, nodes, tol, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range nodes {
-		single, bound, err := ApproxSingleSourceGeometricFromTransition(ctx, qm, qt, q, tol, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if errsG[i] != bound {
-			t.Fatalf("geometric q=%d: multi bound %g != single bound %g", q, errsG[i], bound)
-		}
-		for j := range single {
-			if multi[i][j] != single[j] {
-				t.Fatalf("geometric q=%d j=%d: multi %g != single %g", q, j, multi[i][j], single[j])
-			}
-		}
-	}
-
-	multiE, errsE, err := ApproxMultiSourceExponentialFromTransition(ctx, qm, qt, nodes, tol, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range nodes {
-		single, bound, err := ApproxSingleSourceExponentialFromTransition(ctx, qm, qt, q, tol, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if errsE[i] != bound {
-			t.Fatalf("exponential q=%d: multi bound %g != single bound %g", q, errsE[i], bound)
-		}
-		for j := range single {
-			if multiE[i][j] != single[j] {
-				t.Fatalf("exponential q=%d j=%d: multi %g != single %g", q, j, multiE[i][j], single[j])
-			}
-		}
-	}
-}
-
 func TestApproxKernelsHonourCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomApproxGraph(rng, 30, 90)

@@ -116,9 +116,9 @@ type Trace struct {
 	Layout string `json:"layout,omitempty"`
 	// Cached reports whether the result came from the result cache.
 	Cached bool `json:"cached"`
-	// Plan records the execution route the planner chose — "cache",
-	// "exact", "sieved" for single queries; for batches, one note per
-	// query group describing the chosen kernel and block width.
+	// Plan records the execution route a single query took — "cache",
+	// "exact" or "sieved". Batch-level traces carry no plan: every batch
+	// query takes the single-query route.
 	Plan string `json:"plan,omitempty"`
 	// MaxError is the certified error bound of the answer (0 = exact).
 	MaxError float64 `json:"max_error"`

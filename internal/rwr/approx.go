@@ -28,27 +28,6 @@ func ApproxSingleSourceFromTransition(ctx context.Context, w *sparse.CSR, q int,
 	return ws.run(ctx, w, q, tol)
 }
 
-// ApproxMultiSourceFromTransition answers one sieved RWR single-source
-// query per entry of nodes, sharing the kernel workspace — frontiers and
-// the dense accumulator — across queries. Result i and MaxError i
-// correspond to nodes[i].
-func ApproxMultiSourceFromTransition(ctx context.Context, w *sparse.CSR, nodes []int, tol float64, opt Options) ([][]float64, []float64, error) {
-	ws := newApproxRWRWS(w.R, opt)
-	out := make([][]float64, len(nodes))
-	errs := make([]float64, len(nodes))
-	for i, q := range nodes {
-		scores, bound, err := ws.run(ctx, w, q, tol)
-		if err != nil {
-			return nil, nil, err
-		}
-		// run hands back the shared accumulator; each query keeps its own
-		// copy.
-		out[i] = append([]float64(nil), scores...)
-		errs[i] = bound
-	}
-	return out, errs, nil
-}
-
 // approxRWRWS is the sieved RWR workspace: two ping-pong frontiers, the
 // dense output accumulator shared across runs, and the series-tail weights
 // tail[k] = Σ_{l=k}^{K} (1−C)·Cˡ.

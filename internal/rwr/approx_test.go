@@ -40,35 +40,6 @@ func TestApproxSingleSourceCertificate(t *testing.T) {
 	}
 }
 
-// Workspace reuse across a multi-source run must not leak state between
-// queries: every result and certificate must match the standalone run.
-func TestApproxMultiSourceMatchesSingleSource(t *testing.T) {
-	ctx := context.Background()
-	g := randomGraph(rand.New(rand.NewSource(9)), 40, 120)
-	w := sparse.ForwardTransition(g)
-	opt := Options{C: 0.6, K: 5}
-	nodes := []int{0, 11, 11, 39}
-	const tol = 1e-4
-	multi, errs, err := ApproxMultiSourceFromTransition(ctx, w, nodes, tol, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range nodes {
-		single, bound, err := ApproxSingleSourceFromTransition(ctx, w, q, tol, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if errs[i] != bound {
-			t.Fatalf("q=%d: multi bound %g != single bound %g", q, errs[i], bound)
-		}
-		for j := range single {
-			if multi[i][j] != single[j] {
-				t.Fatalf("q=%d j=%d: multi %g != single %g", q, j, multi[i][j], single[j])
-			}
-		}
-	}
-}
-
 func TestApproxHonoursCancellation(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(2)), 20, 60)
 	w := sparse.ForwardTransition(g)

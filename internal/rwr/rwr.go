@@ -194,50 +194,3 @@ func SingleSourceTopKWS(ctx context.Context, w *sparse.CSR, q, k int, opt Option
 	}
 	return core.TopKInto(scores, k, dst, exclude...), nil
 }
-
-// MultiSourceFromTransition answers one single-source RWR query per entry
-// of nodes against a pre-built forward transition matrix w and its
-// materialised transpose wt, by running the series iteration on an n×B
-// dense block instead of B separate vectors. Result i is exactly
-// SingleSourceFromTransition(ctx, w, nodes[i], opt): same coefficients,
-// same accumulation order — only the sweep over W's CSR structure is
-// shared across the block.
-func MultiSourceFromTransition(ctx context.Context, w, wt *sparse.CSR, nodes []int, opt Options) ([][]float64, error) {
-	opt = opt.withDefaults()
-	n := w.R
-	b := len(nodes)
-	if b == 0 {
-		return nil, nil
-	}
-	cur := dense.New(n, b)
-	for t, q := range nodes {
-		cur.Row(q)[t] = 1
-	}
-	out := dense.New(n, b)
-	tmp := dense.New(n, b)
-	coef := 1 - opt.C
-	for k := 0; ; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dense.Axpy(out.Data, coef, cur.Data)
-		if k == opt.K {
-			break
-		}
-		if sw := opt.Parallel; sw != nil {
-			sw.MulDenseInto(wt, tmp, cur)
-		} else {
-			wt.MulDenseInto(tmp, cur)
-		}
-		cur, tmp = tmp, cur
-		coef *= opt.C
-	}
-	if opt.Sieve > 0 {
-		for i, v := range out.Data {
-			if v < opt.Sieve {
-				out.Data[i] = 0
-			}
-		}
-	}
-	return out.SplitColumns(), nil
-}

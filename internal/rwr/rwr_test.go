@@ -1,7 +1,6 @@
 package rwr
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,32 +175,6 @@ func TestSieve(t *testing.T) {
 	for _, v := range vec {
 		if v != 0 && v < 1e-2 {
 			t.Fatalf("sieved vector score %g", v)
-		}
-	}
-}
-
-// The blocked multi-source kernel must match the single-source kernel
-// bitwise: same coefficients, same accumulation order.
-func TestMultiSourceMatchesSingleSourceRWR(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(7)), 24, 60)
-	w := sparse.ForwardTransition(g)
-	wt := w.Transpose()
-	ctx := context.Background()
-	opt := Options{C: 0.6, K: 7}
-	nodes := []int{0, 2, 3, 0}
-	got, err := MultiSourceFromTransition(ctx, w, wt, nodes, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c, q := range nodes {
-		want, err := SingleSourceFromTransition(ctx, w, q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[c][i] != want[i] {
-				t.Fatalf("col %d (node %d): [%d] = %g, want %g", c, q, i, got[c][i], want[i])
-			}
 		}
 	}
 }

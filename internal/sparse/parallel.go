@@ -27,7 +27,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/dense"
 	"repro/internal/par"
 )
 
@@ -39,8 +38,6 @@ const (
 	sweepMulVecAdd
 	sweepMulVecAddScale
 	sweepGather
-	sweepDensePanels
-	sweepDenseAxpy
 )
 
 // sweepTask is one row-range slice of a sweep. It is deliberately a flat
@@ -51,7 +48,6 @@ type sweepTask struct {
 	m        *CSR
 	y, x, ad []float64
 	scale    float64
-	c, b     *dense.Matrix
 	dst, src *Frontier
 	seg      *[]int32
 	lo, hi   int
@@ -60,7 +56,7 @@ type sweepTask struct {
 }
 
 // run executes the task's range. Every branch writes only to the task's own
-// output rows (vector/dense kinds) or output columns (gather), so concurrent
+// output rows (vector kinds) or output columns (gather), so concurrent
 // tasks of one sweep never touch the same element.
 func (t *sweepTask) run() {
 	switch t.kind {
@@ -72,10 +68,6 @@ func (t *sweepTask) run() {
 		t.m.mulVecAddScaleRange(t.y, t.x, t.ad, t.scale, t.lo, t.hi)
 	case sweepGather:
 		t.m.gatherMulTRange(t.dst, t.src, t.lo, t.hi, t.seg)
-	case sweepDensePanels:
-		t.m.mulDensePanelsRange(t.c, t.b, t.lo, t.hi)
-	case sweepDenseAxpy:
-		t.m.mulDenseAxpyRange(t.c, t.b, t.lo, t.hi)
 	}
 }
 
@@ -245,21 +237,6 @@ func (s *Sweeper) MulVecAddScaleInto(m *CSR, y, x, add []float64, scale float64)
 		panic("sparse: MulVecAddScaleInto dimension mismatch")
 	}
 	s.dispatch(sweepTask{kind: sweepMulVecAddScale, m: m, y: y, x: x, ad: add, scale: scale}, m.R)
-}
-
-// MulDenseInto is the parallel form of m.MulDenseInto: c = m·b with the
-// sweeper's worker count instead of par.For's default GOMAXPROCS fan-out.
-// The panel/axpy crossover is the same as the serial dispatch, so the
-// numbers are bitwise-identical for any width and worker count.
-func (s *Sweeper) MulDenseInto(m *CSR, c, b *dense.Matrix) {
-	if m.C != b.Rows || c.Rows != m.R || c.Cols != b.Cols {
-		panic("sparse: MulDense shape mismatch")
-	}
-	kind := sweepDenseAxpy
-	if b.Cols <= PanelMaxCols {
-		kind = sweepDensePanels
-	}
-	s.dispatch(sweepTask{kind: kind, m: m, c: c, b: b}, m.R)
 }
 
 // parallelGatherMin is the src support size below which Sweeper.ScatterMulT

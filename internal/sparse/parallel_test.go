@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"repro/internal/dense"
 )
 
 // workerCounts are the fan-outs every parallel-vs-serial test sweeps,
@@ -80,33 +78,6 @@ func TestSweeperMulVecMatchesTransposeScatter(t *testing.T) {
 			sw.MulVecInto(mt, got, x)
 			if !slices.Equal(got, want) {
 				t.Fatalf("workers=%d: gather over transpose differs from serial scatter", w)
-			}
-		}
-	}
-}
-
-// TestSweeperMulDenseBitwise pins the dense SpMM on both sides of the
-// panel/axpy crossover.
-func TestSweeperMulDenseBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := randomGraph(rng, 211, 1700)
-	m := BackwardTransition(g)
-	for _, cols := range []int{1, 4, PanelMaxCols, PanelMaxCols + 1, 64} {
-		b := dense.New(m.C, cols)
-		for i := 0; i < m.C; i++ {
-			row := b.Row(i)
-			for j := range row {
-				row[j] = rng.Float64()
-			}
-		}
-		want := dense.New(m.R, cols)
-		m.MulDenseInto(want, b)
-		for _, w := range workerCounts() {
-			sw := NewSweeper(w)
-			got := dense.New(m.R, cols)
-			sw.MulDenseInto(m, got, b)
-			if !slices.Equal(got.Data, want.Data) {
-				t.Fatalf("cols=%d workers=%d: MulDenseInto differs from serial", cols, w)
 			}
 		}
 	}

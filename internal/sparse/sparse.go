@@ -282,103 +282,32 @@ func (m *CSR) MulDense(b *dense.Matrix) *dense.Matrix {
 	return c
 }
 
-// PanelMaxCols is the widest right-hand side the register-blocked panel SpMM
-// handles; wider blocks stream better through the axpy form. The crossover
-// was measured with BenchmarkMulDenseWidth (panel wins up to ~1.8× at width
-// 4–16, loses ~25% at 32+), so small query batches ride the panel kernel and
-// full 64-wide blocks keep the streaming form. Exported because the batch
-// planner uses the same crossover to choose its block width.
-const PanelMaxCols = 16
-
-// MulDenseInto computes c = m·b, overwriting c. c must not alias b. Narrow
-// right-hand sides (≤ PanelMaxCols columns — the blocked multi-source path)
-// go through a register-blocked kernel that accumulates 4-column panels in
-// registers, reading each sparse row once per panel instead of re-streaming
-// the B-wide accumulator row per nonzero; wide ones use the scaled-copy +
-// axpy form. Both accumulate each output element over the row's nonzeros in
-// the same order, so the results are bitwise-identical to each other and to
-// the single-source gather kernels.
+// MulDenseInto computes c = m·b, overwriting c, parallelised over rows of
+// m. c must not alias b. Each sparse entry streams a full contiguous row of
+// b into the accumulator row, so every output element accumulates over the
+// row's nonzeros in order — the same order as the single-source gather
+// kernels.
 func (m *CSR) MulDenseInto(c, b *dense.Matrix) {
 	if m.C != b.Rows || c.Rows != m.R || c.Cols != b.Cols {
 		panic(fmt.Sprintf("sparse: MulDense shape mismatch (%dx%d)·(%dx%d)→(%dx%d)",
 			m.R, m.C, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	if b.Cols <= PanelMaxCols {
-		m.mulDensePanelsInto(c, b)
-		return
-	}
-	m.mulDenseAxpyInto(c, b)
-}
-
-// mulDenseAxpyInto is the wide-block SpMM: each sparse entry streams a full
-// contiguous row of b into the accumulator row.
-func (m *CSR) mulDenseAxpyInto(c, b *dense.Matrix) {
 	par.For(m.R, 0, func(lo, hi int) {
-		m.mulDenseAxpyRange(c, b, lo, hi)
-	})
-}
-
-// mulDenseAxpyRange computes rows [lo, hi) of the axpy-form SpMM. Split out
-// of mulDenseAxpyInto so the Sweeper can drive the same body from its
-// persistent workers.
-func (m *CSR) mulDenseAxpyRange(c, b *dense.Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ci := c.Row(i)
-		cols, vals := m.RowView(i)
-		if len(cols) == 0 {
-			dense.ZeroVec(ci)
-			continue
-		}
-		// First source: scaled copy instead of zero-then-axpy, saving a
-		// full pass over the row.
-		dense.ScaledCopy(ci, vals[0], b.Row(int(cols[0])))
-		for k := 1; k < len(cols); k++ {
-			dense.Axpy(ci, vals[k], b.Row(int(cols[k])))
-		}
-	}
-}
-
-// mulDensePanelsInto is the narrow-block SpMM: 4-column panels held in
-// registers while sweeping the sparse row, plus a scalar tail for the
-// remaining columns.
-func (m *CSR) mulDensePanelsInto(c, b *dense.Matrix) {
-	par.For(m.R, 0, func(lo, hi int) {
-		m.mulDensePanelsRange(c, b, lo, hi)
-	})
-}
-
-// mulDensePanelsRange computes rows [lo, hi) of the panel-form SpMM (see
-// mulDenseAxpyRange for why the body is range-shaped).
-func (m *CSR) mulDensePanelsRange(c, b *dense.Matrix, lo, hi int) {
-	w := b.Cols
-	for i := lo; i < hi; i++ {
-		ci := c.Row(i)
-		cols, vals := m.RowView(i)
-		if len(cols) == 0 {
-			dense.ZeroVec(ci)
-			continue
-		}
-		j := 0
-		for ; j+4 <= w; j += 4 {
-			var s0, s1, s2, s3 float64
-			for k, cc := range cols {
-				br := b.Row(int(cc))
-				v := vals[k]
-				s0 += v * br[j]
-				s1 += v * br[j+1]
-				s2 += v * br[j+2]
-				s3 += v * br[j+3]
+		for i := lo; i < hi; i++ {
+			ci := c.Row(i)
+			cols, vals := m.RowView(i)
+			if len(cols) == 0 {
+				dense.ZeroVec(ci)
+				continue
 			}
-			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-		}
-		for ; j < w; j++ {
-			var s float64
-			for k, cc := range cols {
-				s += vals[k] * b.Row(int(cc))[j]
+			// First source: scaled copy instead of zero-then-axpy, saving a
+			// full pass over the row.
+			dense.ScaledCopy(ci, vals[0], b.Row(int(cols[0])))
+			for k := 1; k < len(cols); k++ {
+				dense.Axpy(ci, vals[k], b.Row(int(cols[k])))
 			}
-			ci[j] = s
 		}
-	}
+	})
 }
 
 // ToDense materialises the matrix densely (test/diagnostic use).

@@ -164,8 +164,9 @@ func TestToleranceCacheKeySemantics(t *testing.T) {
 	}
 }
 
-// Batch queries under a tolerance go through the sieved multi-source
-// kernels; every result must carry a certificate consistent with the exact
+// Batch queries under a tolerance go through the sieved single-source
+// kernels: every result must be bitwise what SingleSourceCertified returns
+// — scores and certificate — carry a certificate consistent with the exact
 // engine, and per-query overrides must control the tolerance query by
 // query.
 func TestBatchCertifiedApprox(t *testing.T) {
@@ -173,6 +174,23 @@ func TestBatchCertifiedApprox(t *testing.T) {
 	ctx := context.Background()
 	exact := simstar.NewEngine(g, simstar.WithK(5))
 	approx := simstar.NewEngine(g, simstar.WithK(5), simstar.WithTolerance(1e-4))
+	// The cache-off references compute every answer afresh, so a match
+	// cannot come from the batch's own cache fills.
+	exactRef := simstar.NewEngine(g, simstar.WithK(5), simstar.WithCacheSize(-1))
+	approxRef := simstar.NewEngine(g, simstar.WithK(5), simstar.WithTolerance(1e-4), simstar.WithCacheSize(-1))
+	sameAsSingle := func(ref *simstar.Engine, q simstar.Query, res simstar.Result) {
+		t.Helper()
+		want, wantErr, err := ref.With(q.Opts...).SingleSourceCertified(ctx, q.Measure, q.Node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.MaxError) != math.Float64bits(wantErr) {
+			t.Fatalf("%s node %d: batch MaxError %g, SingleSourceCertified %g", q.Measure, q.Node, res.MaxError, wantErr)
+		}
+		if j := firstBitDiff(res.Scores, want); j >= 0 {
+			t.Fatalf("%s node %d: batch scores differ bitwise from SingleSourceCertified at %d", q.Measure, q.Node, j)
+		}
+	}
 
 	queries := []simstar.Query{
 		{Measure: simstar.MeasureGeometric, Node: 1},
@@ -190,6 +208,7 @@ func TestBatchCertifiedApprox(t *testing.T) {
 		if res.MaxError > 1e-4 {
 			t.Fatalf("query %d: MaxError %g exceeds tolerance", i, res.MaxError)
 		}
+		sameAsSingle(approxRef, queries[i], res)
 		want, err := exact.SingleSource(ctx, queries[i].Measure, queries[i].Node)
 		if err != nil {
 			t.Fatal(err)
@@ -209,12 +228,16 @@ func TestBatchCertifiedApprox(t *testing.T) {
 	}
 
 	// A per-query override turns approximation on for that query alone.
-	over := exact.MultiSource(ctx, []simstar.Query{
+	overQueries := []simstar.Query{
 		{Measure: simstar.MeasureGeometric, Node: 11},
 		{Measure: simstar.MeasureGeometric, Node: 12, Opts: []simstar.Option{simstar.WithTolerance(1e-3)}},
-	})
+	}
+	over := exact.MultiSource(ctx, overQueries)
 	if over[0].Err != nil || over[1].Err != nil {
 		t.Fatalf("override batch errors: %v %v", over[0].Err, over[1].Err)
+	}
+	for i, res := range over {
+		sameAsSingle(exactRef, overQueries[i], res)
 	}
 	if over[0].MaxError != 0 {
 		t.Fatalf("exact query in override batch has MaxError %g", over[0].MaxError)

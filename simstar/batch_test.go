@@ -10,10 +10,25 @@ import (
 	"repro/simstar"
 )
 
+// firstBitDiff returns the first index at which got and want differ bitwise
+// (a length mismatch differs at the shorter length), or -1 when they are
+// identical.
+func firstBitDiff(got, want []float64) int {
+	for i := range want {
+		if i >= len(got) || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	if len(got) != len(want) {
+		return len(want)
+	}
+	return -1
+}
+
 // The batch path must be a pure performance construct: for every registered
-// measure, MultiSource answers exactly what per-query SingleSource answers.
-// The cache is disabled so the comparison pits the blocked kernels against
-// a genuine per-query recomputation, not against their own cached output.
+// measure, MultiSource answers bitwise what per-query SingleSource answers.
+// The cache is disabled so the comparison pits every batch answer against
+// a genuine per-query recomputation, not against its own cached output.
 func TestMultiSourceMatchesSingleSource(t *testing.T) {
 	g := toyGraph(t)
 	ctx := context.Background()
@@ -37,12 +52,57 @@ func TestMultiSourceMatchesSingleSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want {
-			if d := math.Abs(r.Scores[j] - want[j]); d > 1e-12 {
-				t.Fatalf("query %d (%s, node %d): scores[%d] differs by %g", i, q.Measure, q.Node, j, d)
-			}
+		if j := firstBitDiff(r.Scores, want); j >= 0 {
+			t.Fatalf("query %d (%s, node %d): scores differ bitwise at %d", i, q.Measure, q.Node, j)
 		}
 	}
+}
+
+// A batch probes the result cache once per distinct key — the one probe a
+// lone SingleSource makes — and its duplicates probe nothing, so the cache
+// counters and the observer's read the same for a query whether it comes
+// alone or batched.
+func TestBatchProbesCacheOncePerKey(t *testing.T) {
+	g := toyGraph(t)
+	ctx := context.Background()
+	o := simstar.NewObserver(nil)
+	eng := simstar.NewEngine(g, simstar.WithK(4), simstar.WithObserver(o))
+	check := func(step string, hits, misses uint64) {
+		t.Helper()
+		s := eng.CacheStats()
+		if s.Hits != hits || s.Misses != misses {
+			t.Fatalf("%s: cache hits=%d misses=%d, want %d and %d", step, s.Hits, s.Misses, hits, misses)
+		}
+		snap := o.Registry().Snapshot()
+		if snap["simstar_cache_hits_total"] != float64(hits) || snap["simstar_cache_misses_total"] != float64(misses) {
+			t.Fatalf("%s: observer hits=%g misses=%g, want %d and %d", step,
+				snap["simstar_cache_hits_total"], snap["simstar_cache_misses_total"], hits, misses)
+		}
+	}
+	batch := []simstar.Query{
+		{Measure: simstar.MeasureGeometric, Node: 1, K: 3},
+		{Measure: simstar.MeasureGeometric, Node: 1, K: 3},
+		{Measure: simstar.MeasureRWR, Node: 2, K: 3},
+	}
+	for round, wantCached := range []bool{false, true} {
+		for i, r := range eng.BatchTopK(ctx, batch) {
+			if r.Err != nil {
+				t.Fatalf("round %d query %d: %v", round, i, r.Err)
+			}
+			if r.Cached != wantCached {
+				t.Fatalf("round %d query %d: Cached = %t, want %t", round, i, r.Cached, wantCached)
+			}
+		}
+		if round == 0 {
+			check("first batch", 0, 2)
+		} else {
+			check("repeated batch", 2, 2)
+		}
+	}
+	if r := eng.MultiSource(ctx, []simstar.Query{{Measure: simstar.MeasureExponential, Node: 3}})[0]; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	check("one-query miss", 2, 3)
 }
 
 // BatchTopK must agree with Engine.TopK query by query, including the
@@ -175,7 +235,7 @@ func TestMultiSourceCancellation(t *testing.T) {
 }
 
 // countingMeasure counts SingleSource invocations — the probe for the
-// duplicates-compute-once contract on the fan-out path.
+// duplicates-compute-once contract.
 type countingMeasure struct {
 	constantMeasure
 	name  string
@@ -189,8 +249,8 @@ func (m countingMeasure) SingleSource(ctx context.Context, g *simstar.Graph, q i
 	return m.constantMeasure.SingleSource(ctx, g, q)
 }
 
-// Duplicate queries inside one batch must compute once even on the worker
-// fan-out path (non-blockable measure) with the cache disabled.
+// Duplicate queries inside one batch must compute once, even for a measure
+// outside the engine's fast paths and with the cache disabled.
 func TestMultiSourceDeduplicatesFanOut(t *testing.T) {
 	const name = "test-counting"
 	var calls int64

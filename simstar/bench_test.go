@@ -78,9 +78,8 @@ func BenchmarkSingleSourceRWRRebuildPerCall(b *testing.B) {
 
 // The batch layer's reason to exist: the same queries through MultiSource
 // versus a serial SingleSource loop. Both run with the result cache
-// disabled, so the gap is the blocked kernels (one SpMM sweep per iteration
-// for the whole block instead of one matvec per query) plus, on multi-core
-// hosts, the worker fan-out — not cache hits. Compare:
+// disabled and the same single-source kernels, so the gap is the worker
+// fan-out across cores — not cache hits; on one core the two tie. Compare:
 //
 //	go test ./simstar -bench 'Batch' -benchmem
 const batchBenchQueries = 64

@@ -82,7 +82,7 @@ type engineState struct {
 	backward *sparse.CSR // Q: row-normalised transposed adjacency
 	forward  *sparse.CSR // W: row-normalised adjacency
 	comp     *compHolder // edge-concentration compression, possibly lazy
-	tr       *transposes // lazily-materialised Qᵀ, Wᵀ for the batch kernels
+	tr       *transposes // lazily-materialised Qᵀ, Wᵀ for the sieved and parallel sweeps
 
 	// layout is the cache-conscious relabeling of this epoch, nil without
 	// WithRelabeling. The natural-order matrices above always exist — the
@@ -203,8 +203,8 @@ type transposes struct {
 }
 
 // lazyTranspose is one transpose, materialised once per epoch like the
-// transitions themselves, but only by callers of the batch, sieved and
-// parallel paths.
+// transitions themselves, but only by callers of the sieved and parallel
+// paths.
 type lazyTranspose struct {
 	once sync.Once
 	t    *sparse.CSR
@@ -514,6 +514,19 @@ func (e *Engine) SingleSourceCertified(ctx context.Context, measureName string, 
 	return scores, maxErr, err
 }
 
+// resultKey is the result-cache key of query node q under measureName and
+// the engine's parameters, on the pinned state st.
+func (e *Engine) resultKey(st *engineState, measureName string, q int) cacheKey {
+	return cacheKey{
+		measure: canonical(measureName),
+		gen:     registryGeneration(),
+		epoch:   st.epoch,
+		layout:  st.layoutKey(),
+		params:  e.cfg.cacheParams(),
+		node:    q,
+	}
+}
+
 // cacheLookup probes the result cache for key, then — for an approximate
 // request — for the exact (tolerance-zero) variant of the same key, since
 // an exact result satisfies every tolerance with a zero certificate. A
@@ -569,14 +582,7 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 		o.observeCancel(ctx, err)
 		return nil, 0, false, err
 	}
-	key := cacheKey{
-		measure: canonical(measureName),
-		gen:     registryGeneration(),
-		epoch:   st.epoch,
-		layout:  st.layoutKey(),
-		params:  e.cfg.cacheParams(),
-		node:    q,
-	}
+	key := e.resultKey(st, measureName, q)
 	if tr != nil {
 		tr.Measure = key.measure
 		tr.Node = q

@@ -69,8 +69,8 @@ func (cfg config) cacheParams() config {
 	cfg.epochInterval = 0
 	cfg.baseEpoch = 0
 	// Observation never changes what a query returns; stripping it also
-	// keeps batch kernel-grouping keys (which embed cacheParams) identical
-	// with and without metrics.
+	// keeps cache keys, and with them batch deduplication, identical with
+	// and without metrics.
 	cfg.observer = nil
 	// Relabeling changes the internal layout, never the translated scores;
 	// cached vectors are stored in external id order, so the mode is a
@@ -208,12 +208,12 @@ func WithWorkers(n int) Option { return func(cfg *config) { cfg.workers = n } }
 // (conformance-tested for every measure); like WithWorkers it never changes
 // what a query returns and is excluded from result-cache keys.
 //
-// 0 (the default) and 1 serve each query on its calling goroutine, leaving
-// the blocked batch kernels' own all-core row fan-out untouched; n > 1 uses
-// exactly n workers for every sweep, including the blocked paths; a negative
-// n uses one worker per CPU. The zero-alloc discipline of the pooled serving
-// paths survives fan-out: workers are reused across queries, and a warmed
-// engine adds no per-query allocations at any setting.
+// 0 (the default) and 1 serve each query on its calling goroutine; n > 1
+// uses exactly n workers for every sweep, batch queries included (on top of
+// the batch's own WithWorkers fan-out across queries); a negative n uses
+// one worker per CPU. The zero-alloc discipline of the pooled serving paths
+// survives fan-out: workers are reused across queries, and a warmed engine
+// adds no per-query allocations at any setting.
 func WithParallelSweeps(n int) Option { return func(cfg *config) { cfg.parallelSweeps = n } }
 
 // sweepWorkers resolves WithParallelSweeps to an effective worker count;
@@ -253,9 +253,9 @@ func WithBaseEpoch(epoch uint64) Option { return func(cfg *config) { cfg.baseEpo
 // at query entry the engine derives a context.WithTimeout(ctx, d) and the
 // kernels' amortised cancellation polls abort the run once it expires,
 // surfacing context.DeadlineExceeded. The budget is per query (each
-// SingleSource/TopK/stream call, each blocked batch chunk), layered on top
-// of whatever deadline the caller's own context already carries — whichever
-// fires first wins. 0, the default, imposes no engine-side budget. A
+// SingleSource/TopK/stream call, each distinct query of a batch), layered
+// on top of whatever deadline the caller's own context already carries —
+// whichever fires first wins. 0, the default, imposes no engine-side budget. A
 // deadline changes how long a query may run, never what a completed query
 // returns, so it is excluded from result-cache keys.
 func WithDeadline(d time.Duration) Option { return func(cfg *config) { cfg.deadline = d } }
@@ -279,8 +279,8 @@ func WithFaultHook(fn func(site string)) Option {
 }
 
 // faultHook boxes the WithFaultHook callback behind a pointer so config
-// stays comparable (it is a map key in the result cache and the batch
-// planner's group keys); the hook itself is identity-compared, and
+// stays comparable (it is part of the result-cache key, which also keys
+// batch deduplication); the hook itself is identity-compared, and
 // cacheParams strips it anyway.
 type faultHook struct{ fn func(site string) }
 

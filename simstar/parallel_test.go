@@ -187,9 +187,9 @@ func TestParallelSweepsBitwiseRelabeled(t *testing.T) {
 	}
 }
 
-// The batch planner may reroute groups between the blocked, sieved and
-// fan-out executions, and the parallel sweeps may fan the kernels out — but
-// the answers must stay bitwise those of serial SingleSource calls.
+// A batch fans its queries out across workers, and the parallel sweeps fan
+// each query's kernel out too — but the answers must stay bitwise those of
+// serial SingleSource calls.
 func TestParallelSweepsBatchBitwise(t *testing.T) {
 	g := parallelGraph(t, 150, 900)
 	ctx := context.Background()

@@ -104,7 +104,7 @@ func compareEngines(t *testing.T, ctx context.Context, plain, perm *simstar.Engi
 }
 
 // Batch queries must translate ids exactly like the single-source path, on
-// both the blocked exact kernels and the sieved approximate ones.
+// both the exact kernels and the sieved approximate ones.
 func TestRelabeledBatchMatchesSingleSource(t *testing.T) {
 	g := dataset.RMATDefault(6, 4, 9)
 	ctx := context.Background()

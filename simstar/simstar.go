@@ -34,10 +34,10 @@
 //
 // On top of the Engine sits the batch layer a serving system talks to:
 // MultiSource and BatchTopK answer many single-source queries in one call,
-// serving repeats from a size-bounded LRU result cache, stacking
-// same-measure queries into blocked kernels (one sparse sweep per iteration
-// for the whole block), and fanning the rest across a worker pool. Batching
-// changes the cost of a query, never its answer. cmd/simserve exposes all
+// computing duplicates once and fanning the distinct queries across a worker
+// pool, each through the same size-bounded LRU result cache and pooled
+// single-source kernel a lone query uses. Batching changes the cost of a
+// query, never its answer. cmd/simserve exposes all
 // of this over HTTP/JSON; ARCHITECTURE.md in the repository root draws the
 // full picture.
 //

@@ -119,15 +119,7 @@ func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, e
 		}
 	}()
 	defer e.recoverKernel(&err)
-	key := cacheKey{
-		measure: canonical(measureName),
-		gen:     registryGeneration(),
-		epoch:   st.epoch,
-		layout:  st.layoutKey(),
-		params:  e.cfg.cacheParams(),
-		node:    q,
-	}
-	if scores, maxErr, ok := e.cacheLookup(key); ok {
+	if scores, maxErr, ok := e.cacheLookup(e.resultKey(st, measureName, q)); ok {
 		top := TopK(scores, k, append([]int{q}, exclude...)...)
 		return &TopKStream{ranked: top, maxErr: maxErr, cached: true}, nil
 	}
