@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/prank"
 	"repro/internal/rwr"
 	"repro/internal/simrank"
+	"repro/internal/sparse"
 )
 
 // benchGraph builds the scaled dataset once per benchmark binary run.
@@ -265,19 +267,20 @@ func BenchmarkAblation_Miner(b *testing.B) {
 
 func BenchmarkSingleSource(b *testing.B) {
 	g := benchGraph(b, "CitHepTh-s")
+	ctx := context.Background()
 	b.Run("geometric", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.SingleSourceGeometric(g, i%g.N(), core.Options{C: 0.6, K: 5})
+			core.SingleSourceGeometricFromTransition(ctx, sparse.BackwardTransition(g), i%g.N(), core.Options{C: 0.6, K: 5})
 		}
 	})
 	b.Run("exponential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.SingleSourceExponential(g, i%g.N(), core.Options{C: 0.6, K: 5})
+			core.SingleSourceExponentialFromTransition(ctx, sparse.BackwardTransition(g), i%g.N(), core.Options{C: 0.6, K: 5})
 		}
 	})
 	b.Run("rwr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rwr.SingleSource(g, i%g.N(), rwr.Options{C: 0.6, K: 5})
+			rwr.SingleSourceFromTransition(ctx, sparse.ForwardTransition(g), i%g.N(), rwr.Options{C: 0.6, K: 5})
 		}
 	})
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // benchReport is the schema-versioned output of one simbench run —
-// serving-path behaviour under load, the counterpart of cmd/benchjson's
-// kernel ns/op. Checked-in BENCH_<pr>.json files embed it under "serving"
-// (see benchjson -serving). Schema history: 1 = latency/cache/churn rows;
+// serving-path behaviour under load, the counterpart of the simstar
+// package's kernel benchmarks. Some checked-in BENCH_<pr>.json files embed
+// it under "serving". Schema history: 1 = latency/cache/churn rows;
 // 2 adds per-scenario "server_metrics" counter deltas; 3 adds the chaos
 // ledger ("chaos") on -chaos runs.
 type benchReport struct {

@@ -92,8 +92,9 @@ var mixWeights = [opKindCount]int{
 }
 
 // profile is a named workload size. The graph itself is always built with
-// the fixed benchGraph seed (shared with cmd/benchjson) — the -seed flag
-// moves only the sampling, so two seeds exercise the same graph.
+// the fixed benchGraph seed (shared with the simstar kernel benchmarks) —
+// the -seed flag moves only the sampling, so two seeds exercise the same
+// graph.
 type profile struct {
 	name       string
 	nodes      int

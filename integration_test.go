@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/prank"
 	"repro/internal/rwr"
 	"repro/internal/simrank"
+	"repro/internal/sparse"
 )
 
 // Integration tests assert the paper's claims end to end, across packages —
@@ -157,7 +159,10 @@ func TestSingleSourceAgreesOnPreset(t *testing.T) {
 	opt := core.Options{C: 0.6, K: 5}
 	all := core.GeometricMemo(g, opt)
 	for _, q := range []int{0, g.N() / 2, g.N() - 1} {
-		row := core.SingleSourceGeometric(g, q, opt)
+		row, err := core.SingleSourceGeometricFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j, v := range row {
 			if math.Abs(v-all.At(q, j)) > 1e-10 {
 				t.Fatalf("q=%d j=%d: %g vs %g", q, j, v, all.At(q, j))

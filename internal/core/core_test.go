@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dense"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
@@ -107,7 +109,10 @@ func TestSingleSourceGeometricMatchesRow(t *testing.T) {
 	opt := Options{C: 0.7, K: 6}
 	all := Geometric(g, opt)
 	for _, q := range []int{0, 7, 24} {
-		row := SingleSourceGeometric(g, q, opt)
+		row, err := SingleSourceGeometricFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j, v := range row {
 			if math.Abs(v-all.At(q, j)) > 1e-10 {
 				t.Fatalf("q=%d j=%d: single-source %g vs row %g", q, j, v, all.At(q, j))
@@ -122,7 +127,10 @@ func TestSingleSourceExponentialMatchesRow(t *testing.T) {
 	opt := Options{C: 0.6, K: 7}
 	all := Exponential(g, opt)
 	for _, q := range []int{0, 11, 21} {
-		row := SingleSourceExponential(g, q, opt)
+		row, err := SingleSourceExponentialFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for j, v := range row {
 			if math.Abs(v-all.At(q, j)) > 1e-10 {
 				t.Fatalf("q=%d j=%d: single-source %g vs row %g", q, j, v, all.At(q, j))
@@ -337,7 +345,10 @@ func TestSieve(t *testing.T) {
 			t.Fatalf("sieved matrix contains %g < threshold", v)
 		}
 	}
-	vec := SingleSourceGeometric(g, 0, Options{C: 0.6, K: 5, Sieve: 0.05})
+	vec, err := SingleSourceGeometricFromTransition(context.Background(), sparse.BackwardTransition(g), 0, Options{C: 0.6, K: 5, Sieve: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range vec {
 		if v != 0 && v < 0.05 {
 			t.Fatalf("sieved vector contains %g", v)

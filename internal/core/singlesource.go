@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/dense"
-	"repro/internal/graph"
 	"repro/internal/sparse"
 )
 
@@ -26,9 +25,14 @@ import (
 // so one backward sweep builds v = T_Kᵀ e_q and one forward sweep applies
 // T_K. Both match the corresponding all-pairs rows exactly (tested).
 //
-// The *FromTransition variants take a pre-built Q so a serving engine can
-// amortise the CSR construction across queries; the context is checked
-// between sweeps so deadlines and cancellation abort long runs.
+// Each form has two entry points. The *WS kernel writes into a caller's
+// buffer and draws its intermediates from a pooled workspace, so a serving
+// engine pays zero allocations per query; *FromTransition wraps it for
+// callers that want a fresh vector. Both take a pre-built Q
+// (sparse.BackwardTransition) so the CSR construction is amortised across
+// queries, and the context is checked between sweeps so deadlines and
+// cancellation abort long runs. The threshold-sieved kernels live in
+// approx.go.
 
 // foldPollStride is how many fold-loop Axpys run between amortised context
 // checks (see sparse.CtxPoll): small enough that a per-query deadline lands
@@ -36,20 +40,9 @@ import (
 // fold's critical path.
 const foldPollStride = 8
 
-// SingleSourceGeometric returns the geometric SimRank* scores between q and
-// every node, identical to row q of Geometric(g, opt).
-func SingleSourceGeometric(g *graph.Graph, q int, opt Options) []float64 {
-	s, _ := SingleSourceGeometricFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
-	return s
-}
-
-// SingleSourceGeometricCtx is SingleSourceGeometric with cancellation.
-func SingleSourceGeometricCtx(ctx context.Context, g *graph.Graph, q int, opt Options) ([]float64, error) {
-	return SingleSourceGeometricFromTransition(ctx, sparse.BackwardTransition(g), q, opt)
-}
-
-// SingleSourceGeometricFromTransition answers a geometric single-source
-// query against a pre-built backward transition matrix.
+// SingleSourceGeometricFromTransition returns the geometric SimRank* scores
+// between q and every node, identical to row q of Geometric, against a
+// pre-built backward transition matrix.
 func SingleSourceGeometricFromTransition(ctx context.Context, qm *sparse.CSR, q int, opt Options) ([]float64, error) {
 	dst := make([]float64, qm.R)
 	if err := SingleSourceGeometricWS(ctx, qm, q, opt, nil, dst); err != nil {
@@ -161,20 +154,9 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 	return nil
 }
 
-// SingleSourceExponential returns the exponential SimRank* scores between q
-// and every node, identical to row q of Exponential(g, opt).
-func SingleSourceExponential(g *graph.Graph, q int, opt Options) []float64 {
-	s, _ := SingleSourceExponentialFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
-	return s
-}
-
-// SingleSourceExponentialCtx is SingleSourceExponential with cancellation.
-func SingleSourceExponentialCtx(ctx context.Context, g *graph.Graph, q int, opt Options) ([]float64, error) {
-	return SingleSourceExponentialFromTransition(ctx, sparse.BackwardTransition(g), q, opt)
-}
-
-// SingleSourceExponentialFromTransition answers an exponential single-source
-// query against a pre-built backward transition matrix.
+// SingleSourceExponentialFromTransition returns the exponential SimRank*
+// scores between q and every node, identical to row q of Exponential,
+// against a pre-built backward transition matrix.
 func SingleSourceExponentialFromTransition(ctx context.Context, qm *sparse.CSR, q int, opt Options) ([]float64, error) {
 	dst := make([]float64, qm.R)
 	if err := SingleSourceExponentialWS(ctx, qm, q, opt, nil, dst); err != nil {
@@ -406,29 +388,4 @@ func TopKInto(scores []float64, k int, dst []Ranked, exclude ...int) []Ranked {
 		rankedSiftDown(h[:i])
 	}
 	return h
-}
-
-// SingleSourceGeometricTopKWS fuses the geometric single-source kernel with
-// bounded top-k selection: the full score vector lands in scores (length n,
-// scratch — kernels reset ws, so it must not come from the same workspace)
-// and only the selected entries are built, in dst's backing array. With a
-// pooled scores buffer and cap(dst) >= k the query materialises nothing of
-// size O(n) beyond its reused scratch: the result is k entries, not a
-// per-query n-vector. Entries and order are exactly
-// TopK(SingleSourceGeometric..., k, exclude...).
-func SingleSourceGeometricTopKWS(ctx context.Context, qm *sparse.CSR, q, k int, opt Options, ws *sparse.Workspace, scores []float64, dst []Ranked, exclude ...int) ([]Ranked, error) {
-	if err := SingleSourceGeometricWS(ctx, qm, q, opt, ws, scores); err != nil {
-		return nil, err
-	}
-	return TopKInto(scores, k, dst, exclude...), nil
-}
-
-// SingleSourceExponentialTopKWS is the exponential-form counterpart of
-// SingleSourceGeometricTopKWS: kernel into the scores scratch, bounded
-// selection into dst, zero per-query allocations on the pooled path.
-func SingleSourceExponentialTopKWS(ctx context.Context, qm *sparse.CSR, q, k int, opt Options, ws *sparse.Workspace, scores []float64, dst []Ranked, exclude ...int) ([]Ranked, error) {
-	if err := SingleSourceExponentialWS(ctx, qm, q, opt, ws, scores); err != nil {
-		return nil, err
-	}
-	return TopKInto(scores, k, dst, exclude...), nil
 }

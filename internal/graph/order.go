@@ -2,10 +2,10 @@ package graph
 
 import "sort"
 
-// Node relabeling orders. The similarity kernels sweep CSR operators whose
+// Node relabeling order. The similarity kernels sweep CSR operators whose
 // gather/scatter locality is set entirely by the node numbering, so a
 // one-time relabeling at preprocessing time buys cache hits on every later
-// sweep. Both orders return a permutation perm with perm[old] = new;
+// sweep. The order is a permutation perm with perm[old] = new;
 // sparse.Permute applies it to an operator and sparse.InversePerm maps
 // results back.
 
@@ -25,78 +25,6 @@ func DegreeOrder(g *Graph) []int32 {
 	perm := make([]int32, n)
 	for newID, oldID := range order {
 		perm[oldID] = int32(newID)
-	}
-	return perm
-}
-
-// RCMOrder returns a reverse Cuthill–McKee relabeling over the undirected
-// closure of g: each connected component is breadth-first traversed from a
-// minimum-degree seed with neighbours visited in ascending degree, and the
-// final visit order is reversed. RCM minimises (heuristically) the operator
-// bandwidth — how far column indices stray from the diagonal — which is what
-// keeps the x[col] gathers of a sweep inside the cache lines the sweep just
-// touched.
-func RCMOrder(g *Graph) []int32 {
-	n := g.N()
-	deg := make([]int32, n)
-	for v := 0; v < n; v++ {
-		deg[v] = int32(g.InDeg(v) + g.OutDeg(v))
-	}
-
-	// Seeds in ascending degree: the head of this list that is still
-	// unvisited seeds the next component, giving every component a
-	// pseudo-peripheral-ish start without a separate search pass.
-	seeds := make([]int32, n)
-	for i := range seeds {
-		seeds[i] = int32(i)
-	}
-	sort.SliceStable(seeds, func(a, b int) bool { return deg[seeds[a]] < deg[seeds[b]] })
-
-	visited := make([]bool, n)
-	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
-	nbrs := make([]int32, 0, 64)
-	for _, seed := range seeds {
-		if visited[seed] {
-			continue
-		}
-		visited[seed] = true
-		queue = append(queue[:0], seed)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			// Neighbours over the undirected closure: merge the two sorted
-			// adjacency views, then visit in ascending degree.
-			nbrs = nbrs[:0]
-			out, in := g.Out(int(v)), g.In(int(v))
-			i, j := 0, 0
-			for i < len(out) || j < len(in) {
-				switch {
-				case j == len(in) || (i < len(out) && out[i] < in[j]):
-					nbrs = append(nbrs, out[i])
-					i++
-				case i == len(out) || in[j] < out[i]:
-					nbrs = append(nbrs, in[j])
-					j++
-				default: // equal: one undirected neighbour
-					nbrs = append(nbrs, out[i])
-					i, j = i+1, j+1
-				}
-			}
-			sort.SliceStable(nbrs, func(a, b int) bool { return deg[nbrs[a]] < deg[nbrs[b]] })
-			for _, w := range nbrs {
-				if !visited[w] {
-					visited[w] = true
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-
-	perm := make([]int32, n)
-	for i, oldID := range order {
-		perm[oldID] = int32(n - 1 - i) // reverse of the visit order
 	}
 	return perm
 }

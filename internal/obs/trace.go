@@ -111,7 +111,7 @@ type Trace struct {
 	Queries int `json:"queries,omitempty"`
 	// Epoch is the graph version the query was answered against.
 	Epoch uint64 `json:"epoch"`
-	// Layout names the relabeling layout in effect ("degree", "rcm");
+	// Layout names the relabeling layout in effect ("degree");
 	// empty in natural order.
 	Layout string `json:"layout,omitempty"`
 	// Cached reports whether the result came from the result cache.

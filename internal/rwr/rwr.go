@@ -13,7 +13,6 @@ package rwr
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -94,21 +93,11 @@ func AllPairsFromTransition(ctx context.Context, w *sparse.CSR, opt Options) (*d
 	return s, nil
 }
 
-// SingleSource returns the RWR scores of query q against all nodes —
-// personalised PageRank restarted at q, truncated at K terms. It equals row
-// q of AllPairs and costs O(K·m).
-func SingleSource(g *graph.Graph, q int, opt Options) []float64 {
-	s, _ := SingleSourceFromTransition(context.Background(), sparse.ForwardTransition(g), q, opt)
-	return s
-}
-
-// SingleSourceCtx is SingleSource with cancellation.
-func SingleSourceCtx(ctx context.Context, g *graph.Graph, q int, opt Options) ([]float64, error) {
-	return SingleSourceFromTransition(ctx, sparse.ForwardTransition(g), q, opt)
-}
-
-// SingleSourceFromTransition answers one query against a pre-built forward
-// transition matrix.
+// SingleSourceFromTransition returns the RWR scores of query q against all
+// nodes — personalised PageRank restarted at q, truncated at K terms —
+// against a pre-built forward transition matrix W
+// (sparse.ForwardTransition). It equals row q of AllPairs and costs O(K·m);
+// SingleSourceWS is its allocation-free form.
 func SingleSourceFromTransition(ctx context.Context, w *sparse.CSR, q int, opt Options) ([]float64, error) {
 	dst := make([]float64, w.R)
 	if err := SingleSourceWS(ctx, w, q, opt, nil, dst); err != nil {
@@ -180,17 +169,4 @@ func SingleSourceWS(ctx context.Context, w *sparse.CSR, q int, opt Options, ws *
 		}
 	}
 	return nil
-}
-
-// SingleSourceTopKWS fuses the single-source RWR kernel with bounded top-k
-// selection: the full score vector lands in scores (length n, scratch — the
-// kernel resets ws, so scores must not come from the same workspace) and the
-// selected entries are built in dst's backing array. With a pooled scores
-// buffer and cap(dst) >= k the query materialises only its k results.
-// Entries and order are exactly core.TopK(SingleSourceWS..., k, exclude...).
-func SingleSourceTopKWS(ctx context.Context, w *sparse.CSR, q, k int, opt Options, ws *sparse.Workspace, scores []float64, dst []core.Ranked, exclude ...int) ([]core.Ranked, error) {
-	if err := SingleSourceWS(ctx, w, q, opt, ws, scores); err != nil {
-		return nil, err
-	}
-	return core.TopKInto(scores, k, dst, exclude...), nil
 }

@@ -1,6 +1,7 @@
 package rwr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -55,7 +56,10 @@ func TestQuickSingleSourceMatchesRow(t *testing.T) {
 		opt := Options{C: 0.6, K: 5}
 		all := AllPairs(g, opt)
 		q := rng.Intn(n)
-		row := SingleSource(g, q, opt)
+		row, err := SingleSourceFromTransition(context.Background(), sparse.ForwardTransition(g), q, opt)
+		if err != nil {
+			return false
+		}
 		for j, v := range row {
 			if math.Abs(v-all.At(q, j)) > 1e-10 {
 				return false
@@ -171,7 +175,10 @@ func TestSieve(t *testing.T) {
 			t.Fatalf("sieved score %g", v)
 		}
 	}
-	vec := SingleSource(dataset.Figure1(), 0, Options{C: 0.6, K: 5, Sieve: 1e-2})
+	vec, err := SingleSourceFromTransition(context.Background(), sparse.ForwardTransition(dataset.Figure1()), 0, Options{C: 0.6, K: 5, Sieve: 1e-2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range vec {
 		if v != 0 && v < 1e-2 {
 			t.Fatalf("sieved vector score %g", v)

@@ -4,9 +4,8 @@ package sparse
 // y[col] scatters, whose cache behaviour depends entirely on how far column
 // indices stray from the current row — a property of the node *numbering*,
 // not the graph. Permute applies a relabeling perm (computed once, at
-// preprocessing time, e.g. by graph.RCMOrder or graph.DegreeOrder) to a
-// square operator so that every subsequent sweep enjoys the improved
-// locality for free.
+// preprocessing time, e.g. by graph.DegreeOrder) to a square operator so
+// that every subsequent sweep enjoys the improved locality for free.
 
 // InversePerm returns the inverse of a permutation: inv[perm[i]] = i. It
 // panics if perm is not a bijection on [0, len(perm)).

@@ -40,52 +40,62 @@ var benchMiner = simstar.WithMiner(simstar.MinerOptions{
 // BenchmarkEngineSingleSource100k is the headline serving-path number: exact
 // single-source SimRank* through the engine on a 100k-node degree-3 graph,
 // result cache disabled so every iteration pays the kernel. The sub-benchmarks
-// compare the natural (scrambled) layout against WithRelabeling; BENCH_5.json
-// tracks the numbers across PRs.
+// compare the natural (scrambled) layout against WithRelabeling, and run the
+// pooled zero-allocation SingleSourceInto loop serially, under
+// WithParallelSweeps(-1) (the intra-query fan-out speedup for the host's
+// core count) and with a live Observer (the instrumentation overhead). Every
+// "-into" variant must report 0 allocs/op:
+//
+//	go test ./simstar -run '^$' -bench 'EngineSingleSource100k/exact-degree-into' -benchmem -benchtime 50x
 func BenchmarkEngineSingleSource100k(b *testing.B) {
 	g := engineBenchGraph(100_000, 3)
 	ctx := context.Background()
-	run := func(b *testing.B, eng *simstar.Engine) {
+	engine := func(opts ...simstar.Option) *simstar.Engine {
+		return simstar.NewEngine(g, append([]simstar.Option{simstar.WithCacheSize(-1), benchMiner}, opts...)...)
+	}
+	single := func(b *testing.B, eng *simstar.Engine, measure string) {
 		b.Helper()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.SingleSource(ctx, simstar.MeasureGeometric, (i*7919)%g.N()); err != nil {
+			if _, err := eng.SingleSource(ctx, measure, (i*7919)%g.N()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("exact", func(b *testing.B) {
-		run(b, simstar.NewEngine(g, simstar.WithCacheSize(-1), benchMiner))
-	})
-	b.Run("exact-rcm", func(b *testing.B) {
-		run(b, simstar.NewEngine(g, simstar.WithCacheSize(-1), benchMiner,
-			simstar.WithRelabeling(simstar.RelabelRCM)))
-	})
-	b.Run("exact-degree", func(b *testing.B) {
-		run(b, simstar.NewEngine(g, simstar.WithCacheSize(-1), benchMiner,
-			simstar.WithRelabeling(simstar.RelabelDegree)))
-	})
 	// The zero-allocation serving loop: pooled kernel workspaces plus a
-	// caller-owned result buffer. allocs/op must report 0.
-	b.Run("exact-rcm-into", func(b *testing.B) {
-		eng := simstar.NewEngine(g, simstar.WithCacheSize(-1), benchMiner,
-			simstar.WithRelabeling(simstar.RelabelRCM))
+	// caller-owned result buffer. One query before the timer fills the pools
+	// and builds the transpose a parallel sweep gathers over, so allocs/op
+	// reads the steady state at any -benchtime.
+	into := func(b *testing.B, eng *simstar.Engine) {
+		b.Helper()
 		buf := make([]float64, g.N())
+		if _, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, 0, buf); err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, (i*7919)%g.N(), buf); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	degree := simstar.WithRelabeling(simstar.RelabelDegree)
+	b.Run("exact", func(b *testing.B) {
+		single(b, engine(), simstar.MeasureGeometric)
 	})
-	b.Run("exact-rwr-rcm", func(b *testing.B) {
-		eng := simstar.NewEngine(g, simstar.WithCacheSize(-1), benchMiner,
-			simstar.WithRelabeling(simstar.RelabelRCM))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.SingleSource(ctx, simstar.MeasureRWR, (i*7919)%g.N()); err != nil {
-				b.Fatal(err)
-			}
-		}
+	b.Run("exact-degree", func(b *testing.B) {
+		single(b, engine(degree), simstar.MeasureGeometric)
+	})
+	b.Run("exact-degree-into", func(b *testing.B) {
+		into(b, engine(degree))
+	})
+	b.Run("exact-degree-into-parallel", func(b *testing.B) {
+		into(b, engine(degree, simstar.WithParallelSweeps(-1)))
+	})
+	b.Run("exact-degree-into-observed", func(b *testing.B) {
+		into(b, engine(degree, simstar.WithObserver(simstar.NewObserver(nil))))
+	})
+	b.Run("exact-rwr-degree", func(b *testing.B) {
+		single(b, engine(degree), simstar.MeasureRWR)
 	})
 }

@@ -8,13 +8,9 @@ import (
 	"time"
 
 	"repro/internal/biclique"
-	"repro/internal/core"
-	"repro/internal/dense"
 	"repro/internal/dyngraph"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/rwr"
-	"repro/internal/simrank"
 	"repro/internal/sparse"
 )
 
@@ -160,7 +156,6 @@ var layoutGen atomic.Uint64
 // inverse) plus the permuted operators the fast-path kernels sweep. It is
 // immutable after construction.
 type layoutState struct {
-	mode RelabelMode
 	gen  uint64  // unique per derived layout; 0 means "no relabeling"
 	perm []int32 // perm[external] = internal; both translation directions
 	// gather through perm (see toInternal/externalize), so the inverse is
@@ -171,21 +166,16 @@ type layoutState struct {
 	tr       *transposes // lazily-materialised permuted transposes
 }
 
-// newLayoutState derives the permutation for mode from g and permutes the
-// already-built natural-order transitions. Modes this package does not know
-// degrade to no relabeling rather than failing the engine build.
+// newLayoutState derives the degree order of g under RelabelDegree and
+// permutes the already-built natural-order transitions. Any other mode
+// serves the natural order, so an unknown mode degrades to no relabeling
+// rather than failing the engine build.
 func newLayoutState(mode RelabelMode, g *Graph, backward, forward *sparse.CSR) *layoutState {
-	var perm []int32
-	switch mode {
-	case RelabelDegree:
-		perm = graph.DegreeOrder(g)
-	case RelabelRCM:
-		perm = graph.RCMOrder(g)
-	default:
+	if mode != RelabelDegree {
 		return nil
 	}
+	perm := graph.DegreeOrder(g)
 	return &layoutState{
-		mode:     mode,
 		gen:      layoutGen.Add(1),
 		perm:     perm,
 		backward: sparse.Permute(backward, perm),
@@ -263,19 +253,16 @@ func (st *engineState) layoutMode() RelabelMode {
 	if st.layout == nil {
 		return RelabelNone
 	}
-	return st.layout.mode
+	return RelabelDegree
 }
 
 // layoutName names the state's relabeling for traces; empty in natural
 // order, so the trace field omits cleanly.
 func (st *engineState) layoutName() string {
-	switch st.layoutMode() {
-	case RelabelDegree:
-		return "degree"
-	case RelabelRCM:
-		return "rcm"
+	if st.layout == nil {
+		return ""
 	}
-	return ""
+	return "degree"
 }
 
 // toInternal translates an external (graph) node id into the kernel layout.
@@ -479,19 +466,6 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.snapshot() }
 // epoch clean.
 func (e *Engine) PurgeCache() { e.cache.purge() }
 
-// fastPathKernel reports whether a canonical built-in name has an engine
-// single-source fast path over the cached transition matrices (the measures
-// with native single-source forms; the memo variants share the iterative
-// path — the results are identical).
-func fastPathKernel(builtin string) bool {
-	switch builtin {
-	case MeasureGeometric, MeasureGeometricMemo,
-		MeasureExponential, MeasureExponentialMemo, MeasureRWR:
-		return true
-	}
-	return false
-}
-
 // SingleSource returns the scores of query node q against every node under
 // the named measure. It is served from the cached transition structures
 // where the measure supports it, and from the result cache when the same
@@ -604,28 +578,21 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 		return scores, maxErr, true, nil
 	}
 	var kt *obs.KernelTrace
-	switch {
-	case tr != nil:
+	if tr != nil {
 		kt = &tr.Kernel
-	case o != nil:
-		// Observer-only: this path allocates its result vector anyway, so a
-		// transient trace to aggregate from is free in comparison.
-		kt = new(obs.KernelTrace)
 	}
+	k := kernelsFor(measureName)
 	t0 = time.Now()
-	scores, maxErr, err := e.safeComputeSingleSource(ctx, st, measureName, q, kt)
+	scores, maxErr, err := e.computeSingleSource(ctx, st, k, measureName, q, kt)
 	kernelTime := time.Since(t0)
 	if err != nil {
 		o.observeCancel(ctx, err)
 		return nil, 0, false, err
 	}
-	if o != nil {
-		o.recordKernel(kt, kernelTime)
-	}
 	if tr != nil {
 		tr.AddSpan("kernel", kernelTime)
 		tr.MaxError = maxErr
-		if e.cfg.tolerance >= MinTolerance && fastPathKernel(builtinFor(measureName)) {
+		if k != nil && e.cfg.tolerance >= MinTolerance {
 			tr.Plan = "sieved"
 		} else {
 			tr.Plan = "exact"
@@ -635,113 +602,57 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 	return scores, maxErr, false, nil
 }
 
-// computeSingleSource is the uncached single-source path: the engine fast
-// paths over the cached (and, under WithRelabeling, permuted) transition
-// matrices for the built-in measures — sieved-approximate under an
-// effective WithTolerance, exact otherwise — and the measure's own
-// implementation for everything else. The second return is the MaxError
-// certificate (0 on every exact path). Fast-path results come back in
-// external id order regardless of layout. kt, when non-nil, receives the
-// kernel-level detail of the fast paths (non-built-in measures report
-// nothing — their kernels are opaque to the engine).
-func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, measureName string, q int, kt *obs.KernelTrace) ([]float64, float64, error) {
-	builtin := builtinFor(measureName)
-	if !fastPathKernel(builtin) {
+// computeSingleSource is the kernel step of the allocating single-source
+// read path, behind the panic isolation boundary. A measure with a kernel
+// row k runs its exact kernel through runExact, or its sieved kernel under
+// an effective WithTolerance, on the cached (and, under WithRelabeling,
+// permuted) transition matrices; any other measure runs its own
+// implementation. The second return is the MaxError certificate (0 on
+// every exact path), and the scores come back in external id order
+// regardless of layout. kt, when non-nil, receives the kernel detail of the
+// fast paths (other measures report nothing — their kernels are opaque to
+// the engine).
+func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, k *kernelFamily, measureName string, q int, kt *obs.KernelTrace) (scores []float64, maxErr float64, err error) {
+	defer e.recoverKernel(&err)
+	if k != nil && e.cfg.tolerance < MinTolerance {
+		scores = make([]float64, st.g.N())
+		if err := e.runExact(ctx, st, k, q, scores, kt); err != nil {
+			return nil, 0, err
+		}
+		return scores, 0, nil
+	}
+	o := e.cfg.observer
+	if kt == nil && o != nil {
+		// Observer-only: this path allocates its result vector anyway, so a
+		// transient trace to aggregate from is free in comparison.
+		kt = new(obs.KernelTrace)
+	}
+	start := time.Now()
+	e.cfg.fireFault(FaultPointKernel)
+	if k != nil {
+		ws := st.getWS()
+		defer st.putWS(ws)
+		sw := st.sweeperFor(e.cfg)
+		if sw != nil {
+			defer st.putSweeper(sw)
+		}
+		if scores, maxErr, err = k.sieved(ctx, st, e.cfg, st.toInternal(q), sw, kt); err != nil {
+			return nil, 0, err
+		}
+		st.externalize(scores, ws)
+	} else {
 		m, err := Lookup(measureName, e.opts...)
 		if err != nil {
 			return nil, 0, err
 		}
-		s, err := m.SingleSource(ctx, st.g, q)
-		return s, 0, err
-	}
-	tol := e.cfg.tolerance
-	qi := st.toInternal(q)
-	ws := st.getWS()
-	defer st.putWS(ws)
-	sw := st.sweeperFor(e.cfg)
-	if sw != nil {
-		defer st.putSweeper(sw)
-	}
-	if tol >= MinTolerance {
-		var (
-			scores []float64
-			maxErr float64
-			err    error
-		)
-		switch builtin {
-		case MeasureGeometric, MeasureGeometricMemo:
-			opt := e.cfg.coreOptions()
-			opt.Trace = kt
-			opt.Parallel = sw
-			scores, maxErr, err = core.ApproxSingleSourceGeometricFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, tol, opt)
-		case MeasureExponential, MeasureExponentialMemo:
-			opt := e.cfg.coreOptions()
-			opt.Trace = kt
-			opt.Parallel = sw
-			scores, maxErr, err = core.ApproxSingleSourceExponentialFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, tol, opt)
-		case MeasureRWR:
-			opt := e.cfg.rwrOptions()
-			opt.Trace = kt
-			opt.Parallel = sw
-			scores, maxErr, err = rwr.ApproxSingleSourceFromTransition(ctx, st.kernelForward(), qi, tol, opt)
-		}
-		if err != nil {
+		if scores, err = m.SingleSource(ctx, st.g, q); err != nil {
 			return nil, 0, err
 		}
-		st.externalize(scores, ws)
-		return scores, maxErr, nil
 	}
-	dst := make([]float64, st.g.N())
-	grew := ws.Grows()
-	if err := e.exactSingleSourceInto(ctx, st, builtin, qi, ws, sw, dst, kt); err != nil {
-		return nil, 0, err
+	if o != nil {
+		o.recordKernel(kt, time.Since(start))
 	}
-	if kt != nil {
-		kt.WorkspaceGrew = ws.Grows() - grew
-	}
-	st.externalize(dst, ws)
-	return dst, 0, nil
-}
-
-// exactSingleSourceInto runs one exact fast-path kernel in the state's
-// layout, writing kernel-order scores into dst from the pooled workspace —
-// the allocation-free core of the serving path. qi is a kernel-layout node
-// id; callers translate the result back with externalize. kt (nilable)
-// threads kernel-level tracing through the options structs — a plain field
-// copy here, with the kernels guarding their own hook sites. sw (nilable)
-// likewise threads the borrowed sweep-parallelism pool, plus the
-// materialised transpose the backward sweeps gather over; the transpose
-// build is a once-per-epoch cost paid only by queries that parallelise.
-//
-//simstar:noalloc
-func (e *Engine) exactSingleSourceInto(ctx context.Context, st *engineState, builtin string, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
-	switch builtin {
-	case MeasureGeometric, MeasureGeometricMemo:
-		opt := e.cfg.coreOptions()
-		opt.Trace = kt
-		if sw != nil {
-			opt.Parallel = sw
-			opt.Transposed = st.kernelBackwardT()
-		}
-		return core.SingleSourceGeometricWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
-	case MeasureExponential, MeasureExponentialMemo:
-		opt := e.cfg.coreOptions()
-		opt.Trace = kt
-		if sw != nil {
-			opt.Parallel = sw
-			opt.Transposed = st.kernelBackwardT()
-		}
-		return core.SingleSourceExponentialWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
-	case MeasureRWR:
-		opt := e.cfg.rwrOptions()
-		opt.Trace = kt
-		if sw != nil {
-			opt.Parallel = sw
-			opt.Transposed = st.kernelForwardT()
-		}
-		return rwr.SingleSourceWS(ctx, st.kernelForward(), qi, opt, ws, dst)
-	}
-	panic("simstar: unreachable fast-path kernel")
+	return scores, maxErr, nil
 }
 
 // SingleSourceInto is the allocation-free variant of SingleSource for
@@ -777,33 +688,13 @@ func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int
 	} else {
 		dst = dst[:n]
 	}
-	builtin := builtinFor(measureName)
-	if fastPathKernel(builtin) && e.cfg.tolerance < MinTolerance {
-		o := e.cfg.observer
-		ws := st.getWS()
-		defer st.putWS(ws)
-		sw := st.sweeperFor(e.cfg)
-		if sw != nil {
-			defer st.putSweeper(sw)
-		}
-		// With an observer on, the kernel trace lives inside the pooled
-		// workspace — &ws.Trace is a borrow, not an allocation — so the
-		// zero-alloc contract holds with observation on or off.
-		var kt *obs.KernelTrace
-		if o != nil {
+	if k := kernelsFor(measureName); k != nil && e.cfg.tolerance < MinTolerance {
+		if o := e.cfg.observer; o != nil {
 			o.qSingle.Inc()
-			kt = &ws.Trace
-			kt.Reset()
 		}
-		start := time.Now()
-		e.cfg.fireFault(FaultPointKernel)
-		if err := e.exactSingleSourceInto(ctx, st, builtin, st.toInternal(q), ws, sw, dst, kt); err != nil {
+		if err := e.runExact(ctx, st, k, q, dst, nil); err != nil {
 			e.cfg.observer.observeCancel(ctx, err)
 			return nil, err
-		}
-		st.externalize(dst, ws)
-		if o != nil {
-			o.recordKernel(kt, time.Since(start))
 		}
 		return dst, nil
 	}
@@ -830,11 +721,13 @@ func (e *Engine) TopK(ctx context.Context, measureName string, q, k int, exclude
 	return TopK(scores, k, append([]int{q}, exclude...)...), nil
 }
 
-// AllPairs computes the full similarity matrix under the named measure,
-// reusing the cached transition matrices and compression of the current
-// epoch. All-pairs runs always sweep the natural-order matrices — the n×n
-// result is produced directly in graph ids, so WithRelabeling neither helps
-// nor requires translation here.
+// AllPairs computes the full similarity matrix under the named measure. A
+// measure in the engine's kernel table reuses the current epoch's cached
+// transition matrices (the memo variants its compression); any other
+// measure runs its registered implementation on the epoch's graph. All-pairs
+// runs always sweep the natural-order matrices — the n×n result is produced
+// directly in graph ids, so WithRelabeling neither helps nor requires
+// translation here.
 func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, err error) {
 	ctx, cancel := e.cfg.deadlineCtx(ctx)
 	if cancel != nil {
@@ -845,40 +738,18 @@ func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, e
 		return nil, err
 	}
 	st := e.load()
-	builtin := builtinFor(measureName)
-	opt := e.cfg.coreOptions()
-	switch builtin {
-	case MeasureGeometric:
-		m, err := core.GeometricFromTransition(ctx, st.backward, opt)
-		return wrapDense(m, err)
-	case MeasureGeometricMemo:
-		m, err := core.GeometricFromCompressed(ctx, st.comp.get(), opt)
-		return wrapDense(m, err)
-	case MeasureExponential:
-		m, err := core.ExponentialFromTransition(ctx, st.backward, opt)
-		return wrapDense(m, err)
-	case MeasureExponentialMemo:
-		m, err := core.ExponentialFromCompressed(ctx, st.comp.get(), opt)
-		return wrapDense(m, err)
-	case MeasureSimRankMatrix:
-		m, err := simrank.MatrixFormFromTransition(ctx, st.backward, e.cfg.simrankOptions())
-		return wrapDense(m, err)
-	case MeasureRWR:
-		m, err := rwr.AllPairsFromTransition(ctx, st.forward, e.cfg.rwrOptions())
-		return wrapDense(m, err)
+	if k := kernelsFor(measureName); k != nil {
+		m, err := k.allPairs(ctx, st, e.cfg)
+		if err != nil {
+			return nil, err
+		}
+		return denseScores(m), nil
 	}
 	m, err := Lookup(measureName, e.opts...)
 	if err != nil {
 		return nil, err
 	}
 	return m.AllPairs(ctx, st.g)
-}
-
-func wrapDense(m *dense.Matrix, err error) (*Scores, error) {
-	if err != nil {
-		return nil, err
-	}
-	return denseScores(m), nil
 }
 
 func (st *engineState) checkQuery(ctx context.Context, q int) error {

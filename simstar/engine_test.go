@@ -181,9 +181,9 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
-// Re-registering a built-in name must override the engine fast path too:
-// the same name may not give different implementations depending on
-// whether the caller goes through Lookup or an Engine.
+// A measure registered under a new name, and reached through an alias, is
+// served by the engine exactly as Lookup serves it. Re-registering a
+// built-in name is TestRegistryOverrideDisplacesKernelRow's case.
 func TestEngineHonoursRegistryOverride(t *testing.T) {
 	const name = "test-override-rwr"
 	simstar.Register(name, func(opts ...simstar.Option) simstar.Measure {

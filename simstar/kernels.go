@@ -1,0 +1,189 @@
+package simstar
+
+import (
+	"context"
+	"strings"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dense"
+	"repro/internal/obs"
+	"repro/internal/rwr"
+	"repro/internal/sparse"
+)
+
+// This file is the engine's kernel table, the one place a measure name
+// becomes a kernel. A single-source query needs three kernel families —
+// geometric SimRank*, exponential SimRank* and RWR — each with one exact and
+// one sieved kernel. The memo variants answer single-source queries with
+// their iterative family's kernels (the scores are identical) and differ
+// only in all-pairs, which keeps the biclique-compressed operator.
+//
+// registerBuiltin attaches a row to the registry entry of each fast-path
+// name, so re-registering the name drops the row together with the factory:
+// the override is served, never the built-in kernel.
+
+// kernelFamily is one row of the kernel table. Each func runs over the
+// pinned epoch state and picks its own operator side (Q or W), transpose and
+// options.
+type kernelFamily struct {
+	// exact runs the exact WS kernel for the kernel-layout node qi into dst
+	// (length n, kernel order), drawing every intermediate from ws. sw is
+	// the borrowed sweep-parallelism pool or nil; only with one does the row
+	// take the transpose its backward sweeps gather over, a once-per-epoch
+	// build paid only by queries that parallelise. kt (nilable) receives the
+	// kernel detail.
+	exact func(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error
+	// sieved runs the threshold-sieved kernel at cfg's tolerance for the
+	// kernel-layout node qi and returns kernel-order scores plus their
+	// certified MaxError.
+	sieved func(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error)
+	// allPairs computes the n×n matrix on the natural-order operators.
+	allPairs func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error)
+}
+
+var (
+	geometricKernels = kernelFamily{
+		exact:  geometricExact,
+		sieved: geometricSieved,
+		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
+			return core.GeometricFromTransition(ctx, st.backward, cfg.coreOptions())
+		},
+	}
+	geometricMemoKernels = kernelFamily{
+		exact:  geometricExact,
+		sieved: geometricSieved,
+		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
+			return core.GeometricFromCompressed(ctx, st.comp.get(), cfg.coreOptions())
+		},
+	}
+	exponentialKernels = kernelFamily{
+		exact:  exponentialExact,
+		sieved: exponentialSieved,
+		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
+			return core.ExponentialFromTransition(ctx, st.backward, cfg.coreOptions())
+		},
+	}
+	exponentialMemoKernels = kernelFamily{
+		exact:  exponentialExact,
+		sieved: exponentialSieved,
+		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
+			return core.ExponentialFromCompressed(ctx, st.comp.get(), cfg.coreOptions())
+		},
+	}
+	rwrKernels = kernelFamily{
+		exact:  rwrExact,
+		sieved: rwrSieved,
+		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
+			return rwr.AllPairsFromTransition(ctx, st.forward, cfg.rwrOptions())
+		},
+	}
+)
+
+// backwardOptions is cfg's core options for an exact sweep of Q, threaded
+// with the kernel trace and, under a borrowed sweeper, with Qᵀ.
+func (st *engineState) backwardOptions(cfg config, sw *sparse.Sweeper, kt *obs.KernelTrace) core.Options {
+	opt := cfg.coreOptions()
+	opt.Trace = kt
+	if sw != nil {
+		opt.Parallel = sw
+		opt.Transposed = st.kernelBackwardT()
+	}
+	return opt
+}
+
+//simstar:noalloc
+func geometricExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
+	return core.SingleSourceGeometricWS(ctx, st.kernelBackward(), qi, st.backwardOptions(cfg, sw, kt), ws, dst)
+}
+
+//simstar:noalloc
+func exponentialExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
+	return core.SingleSourceExponentialWS(ctx, st.kernelBackward(), qi, st.backwardOptions(cfg, sw, kt), ws, dst)
+}
+
+//simstar:noalloc
+func rwrExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
+	opt := cfg.rwrOptions()
+	opt.Trace = kt
+	if sw != nil {
+		opt.Parallel = sw
+		opt.Transposed = st.kernelForwardT()
+	}
+	return rwr.SingleSourceWS(ctx, st.kernelForward(), qi, opt, ws, dst)
+}
+
+func geometricSieved(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error) {
+	opt := cfg.coreOptions()
+	opt.Trace = kt
+	opt.Parallel = sw
+	return core.ApproxSingleSourceGeometricFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, cfg.tolerance, opt)
+}
+
+func exponentialSieved(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error) {
+	opt := cfg.coreOptions()
+	opt.Trace = kt
+	opt.Parallel = sw
+	return core.ApproxSingleSourceExponentialFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, cfg.tolerance, opt)
+}
+
+func rwrSieved(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error) {
+	opt := cfg.rwrOptions()
+	opt.Trace = kt
+	opt.Parallel = sw
+	return rwr.ApproxSingleSourceFromTransition(ctx, st.kernelForward(), qi, cfg.tolerance, opt)
+}
+
+// kernelsFor resolves measureName through the registry without
+// instantiating a measure and returns its kernel row, or nil when the name
+// is unknown, has no fast path, or is bound to a user-registered
+// implementation. It never allocates on lower-case inputs, which is what
+// keeps the engine's pooled query path at zero allocations.
+func kernelsFor(measureName string) *kernelFamily {
+	n := strings.ToLower(measureName)
+	registry.RLock()
+	defer registry.RUnlock()
+	if target, ok := registry.aliases[n]; ok {
+		n = target
+	}
+	return registry.factories[n].kernels
+}
+
+// runExact is the shared work of every exact fast-path query — single,
+// Into, streamed and batched alike. It borrows a pooled workspace and,
+// under WithParallelSweeps, a sweeper; fires the fault hook; runs row k's
+// exact kernel for the external node q into dst (length n); and rearranges
+// dst into external id order. kt, when non-nil, receives the kernel detail
+// for a trace; otherwise, with an observer attached, the trace is borrowed
+// from the workspace (&ws.Trace is a borrow, not an allocation), so the
+// zero-alloc contract holds with observation on or off. The observer, if
+// any, records the run here.
+//
+//simstar:noalloc
+func (e *Engine) runExact(ctx context.Context, st *engineState, k *kernelFamily, q int, dst []float64, kt *obs.KernelTrace) error {
+	ws := st.getWS()
+	defer st.putWS(ws)
+	sw := st.sweeperFor(e.cfg)
+	if sw != nil {
+		defer st.putSweeper(sw)
+	}
+	o := e.cfg.observer
+	if kt == nil && o != nil {
+		kt = &ws.Trace
+		kt.Reset()
+	}
+	grew := ws.Grows()
+	start := time.Now()
+	e.cfg.fireFault(FaultPointKernel)
+	if err := k.exact(ctx, st, e.cfg, st.toInternal(q), ws, sw, dst, kt); err != nil {
+		return err
+	}
+	if kt != nil {
+		kt.WorkspaceGrew = ws.Grows() - grew
+	}
+	st.externalize(dst, ws)
+	if o != nil {
+		o.recordKernel(kt, time.Since(start))
+	}
+	return nil
+}

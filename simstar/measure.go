@@ -9,6 +9,7 @@ import (
 	"repro/internal/prank"
 	"repro/internal/rwr"
 	"repro/internal/simrank"
+	"repro/internal/sparse"
 	"repro/internal/sparsesim"
 )
 
@@ -103,8 +104,8 @@ func init() {
 			return denseScores(m), nil
 		},
 		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceGeometricCtx(ctx, g, q, cfg.coreOptions())
-		}))
+			return core.SingleSourceGeometricFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
+		}), &geometricKernels)
 
 	registerBuiltin(MeasureGeometricMemo, factoryFor(MeasureGeometricMemo,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -118,8 +119,8 @@ func init() {
 		// Single-source never materialises the matrix, so it does not use
 		// the compression; it still matches row q of the memo run exactly.
 		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceGeometricCtx(ctx, g, q, cfg.coreOptions())
-		}))
+			return core.SingleSourceGeometricFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
+		}), &geometricMemoKernels)
 
 	registerBuiltin(MeasureExponential, factoryFor(MeasureExponential,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -130,8 +131,8 @@ func init() {
 			return denseScores(m), nil
 		},
 		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceExponentialCtx(ctx, g, q, cfg.coreOptions())
-		}))
+			return core.SingleSourceExponentialFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
+		}), &exponentialKernels)
 
 	registerBuiltin(MeasureExponentialMemo, factoryFor(MeasureExponentialMemo,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -143,10 +144,10 @@ func init() {
 			return denseScores(m), nil
 		},
 		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceExponentialCtx(ctx, g, q, cfg.coreOptions())
-		}))
+			return core.SingleSourceExponentialFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
+		}), &exponentialMemoKernels)
 
-	registerBuiltin(MeasureSimRank, factoryFor(MeasureSimRank,
+	Register(MeasureSimRank, factoryFor(MeasureSimRank,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			m, err := simrank.PSumCtx(ctx, g, cfg.simrankOptions())
 			if err != nil {
@@ -155,7 +156,7 @@ func init() {
 			return denseScores(m), nil
 		}, nil))
 
-	registerBuiltin(MeasureSimRankMatrix, factoryFor(MeasureSimRankMatrix,
+	Register(MeasureSimRankMatrix, factoryFor(MeasureSimRankMatrix,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			m, err := simrank.MatrixFormCtx(ctx, g, cfg.simrankOptions())
 			if err != nil {
@@ -164,7 +165,7 @@ func init() {
 			return denseScores(m), nil
 		}, nil))
 
-	registerBuiltin(MeasurePRank, factoryFor(MeasurePRank,
+	Register(MeasurePRank, factoryFor(MeasurePRank,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			m, err := prank.AllPairsCtx(ctx, g, cfg.prankOptions())
 			if err != nil {
@@ -173,7 +174,7 @@ func init() {
 			return denseScores(m), nil
 		}, nil))
 
-	registerBuiltin(MeasurePRankMatrix, factoryFor(MeasurePRankMatrix,
+	Register(MeasurePRankMatrix, factoryFor(MeasurePRankMatrix,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			m, err := prank.MatrixFormCtx(ctx, g, cfg.prankOptions())
 			if err != nil {
@@ -191,10 +192,10 @@ func init() {
 			return denseScores(m), nil
 		},
 		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return rwr.SingleSourceCtx(ctx, g, q, cfg.rwrOptions())
-		}))
+			return rwr.SingleSourceFromTransition(ctx, sparse.ForwardTransition(g), q, cfg.rwrOptions())
+		}), &rwrKernels)
 
-	registerBuiltin(MeasureSparse, factoryFor(MeasureSparse,
+	Register(MeasureSparse, factoryFor(MeasureSparse,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			s, err := sparsesim.GeometricCtx(ctx, g, cfg.sparseOptions())
 			if err != nil {
@@ -203,7 +204,7 @@ func init() {
 			return sparseScores(s), nil
 		}, nil))
 
-	registerBuiltin(MeasureCoCitation, factoryFor(MeasureCoCitation,
+	Register(MeasureCoCitation, factoryFor(MeasureCoCitation,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			// Non-iterative: the entry check in AllPairs is the only
 			// cancellation point.

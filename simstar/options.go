@@ -161,21 +161,17 @@ const (
 	// the hub rows and the hot entries of every iteration vector at the
 	// front of memory.
 	RelabelDegree
-	// RelabelRCM applies a reverse Cuthill–McKee order over the undirected
-	// closure, minimising how far a sweep's gathers stray from the rows it
-	// just touched. The best default for graphs with community or locality
-	// structure.
-	RelabelRCM
 )
 
 // WithRelabeling makes the Engine relabel the nodes of its cached transition
-// matrices for cache locality: the permutation is computed once per graph
+// matrices for cache locality: the degree order is computed once per graph
 // epoch at preprocessing time, the single-source, top-k and batch fast paths
 // run on the permuted operators, and node ids are translated at the API
 // boundary — queries and results always speak the graph's own ids, and the
 // scores match the unrelabelled engine to within float reassociation noise
 // (≤ 1e-12, tested). All-pairs queries and non-fast-path measures run on the
-// natural order and are unaffected.
+// natural order and are unaffected. Modes other than RelabelDegree serve the
+// natural order.
 //
 // Like WithMiner, the mode is structure-shaping and fixed at engine
 // construction: passing it through With or per-query options has no effect.

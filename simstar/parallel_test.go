@@ -160,27 +160,25 @@ func TestParallelSweepsBitwiseRelabeled(t *testing.T) {
 	measures := []string{
 		simstar.MeasureGeometric, simstar.MeasureExponential, simstar.MeasureRWR,
 	}
-	for _, mode := range []simstar.RelabelMode{simstar.RelabelDegree, simstar.RelabelRCM} {
-		base := []simstar.Option{
-			simstar.WithC(0.6), simstar.WithK(4),
-			simstar.WithRelabeling(mode), simstar.WithCacheSize(-1),
-		}
-		serial := simstar.NewEngine(g, base...)
-		for _, name := range measures {
-			for _, q := range probes {
-				want, err := serial.SingleSource(ctx, name, q)
+	base := []simstar.Option{
+		simstar.WithC(0.6), simstar.WithK(4),
+		simstar.WithRelabeling(simstar.RelabelDegree), simstar.WithCacheSize(-1),
+	}
+	serial := simstar.NewEngine(g, base...)
+	for _, name := range measures {
+		for _, q := range probes {
+			want, err := serial.SingleSource(ctx, name, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range parallelWorkerCounts() {
+				eng := simstar.NewEngine(g, append(append([]simstar.Option(nil), base...), simstar.WithParallelSweeps(w))...)
+				got, err := eng.SingleSource(ctx, name, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range parallelWorkerCounts() {
-					eng := simstar.NewEngine(g, append(append([]simstar.Option(nil), base...), simstar.WithParallelSweeps(w))...)
-					got, err := eng.SingleSource(ctx, name, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !float64sEqual(got, want) {
-						t.Fatalf("mode=%d %s workers=%d q=%d: relabelled parallel scores differ", mode, name, w, q)
-					}
+				if !float64sEqual(got, want) {
+					t.Fatalf("%s workers=%d q=%d: relabelled parallel scores differ", name, w, q)
 				}
 			}
 		}
@@ -220,7 +218,7 @@ func TestParallelSweepsBatchBitwise(t *testing.T) {
 	}
 }
 
-// TopKStream's fused selection must hand out the same entries at every
+// TopKStream's pooled selection must hand out the same entries at every
 // worker count — the kernel underneath is bitwise-identical, so the ranking
 // and its tie-breaks are too.
 func TestParallelSweepsTopKStreamBitwise(t *testing.T) {

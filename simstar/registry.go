@@ -12,15 +12,13 @@ import (
 // than instances are registered so each caller binds its own parameters.
 type Factory func(opts ...Option) Measure
 
-// regEntry is one registered factory plus whether it is this package's own
-// registration. The flag is what lets the engine detect its fast-path
-// measures without instantiating anything: a user override of a built-in
-// name re-registers with builtin=false, so the fast paths step aside, while
-// detection itself stays allocation-free (the zero-allocation query path
-// depends on that).
+// regEntry is one registered factory plus, for this package's fast-path
+// measures, the family's row of the kernel table (kernels.go). A user
+// re-registration of a built-in name stores no row, so the engine serves
+// the override instead of the built-in kernel.
 type regEntry struct {
 	f       Factory
-	builtin bool
+	kernels *kernelFamily
 }
 
 var registry = struct {
@@ -46,38 +44,20 @@ func Register(name string, f Factory) {
 	if f == nil {
 		panic("simstar: Register with nil factory")
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	registry.factories[strings.ToLower(name)] = regEntry{f: f}
-	regGen.Add(1)
+	register(name, regEntry{f: f})
 }
 
-// registerBuiltin is Register for this package's own measures: the entry is
-// flagged so engine fast paths recognise it (see regEntry).
-func registerBuiltin(name string, f Factory) {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.factories[strings.ToLower(name)] = regEntry{f: f, builtin: true}
-	regGen.Add(1)
+// registerBuiltin is Register for this package's fast-path measures: the
+// entry carries the family's kernel row.
+func registerBuiltin(name string, f Factory, k *kernelFamily) {
+	register(name, regEntry{f: f, kernels: k})
 }
 
-// builtinFor resolves measureName through the registry without instantiating
-// a measure and reports the canonical built-in name it denotes, or "" when
-// the name is unknown or bound to a user-registered implementation (a
-// re-registered built-in name must get the override, not a fast path). It
-// never allocates on lower-case inputs, which is what keeps the engine's
-// pooled query path at zero allocations.
-func builtinFor(measureName string) string {
-	n := strings.ToLower(measureName)
-	registry.RLock()
-	defer registry.RUnlock()
-	if target, ok := registry.aliases[n]; ok {
-		n = target
-	}
-	if e, ok := registry.factories[n]; ok && e.builtin {
-		return n
-	}
-	return ""
+func register(name string, e regEntry) {
+	registry.Lock()
+	defer registry.Unlock()
+	registry.factories[strings.ToLower(name)] = e
+	regGen.Add(1)
 }
 
 // RegisterAlias makes alias resolve to the measure registered under name.

@@ -12,7 +12,6 @@ import (
 // relabelModes are the non-trivial layouts under test.
 var relabelModes = map[string]simstar.RelabelMode{
 	"degree": simstar.RelabelDegree,
-	"rcm":    simstar.RelabelRCM,
 }
 
 // A relabelled engine must be observationally identical to the natural-order
@@ -109,8 +108,8 @@ func TestRelabeledBatchMatchesSingleSource(t *testing.T) {
 	g := dataset.RMATDefault(6, 4, 9)
 	ctx := context.Background()
 	for _, opts := range [][]simstar.Option{
-		{simstar.WithK(4), simstar.WithRelabeling(simstar.RelabelRCM)},
-		{simstar.WithK(4), simstar.WithRelabeling(simstar.RelabelRCM), simstar.WithTolerance(1e-4)},
+		{simstar.WithK(4), simstar.WithRelabeling(simstar.RelabelDegree)},
+		{simstar.WithK(4), simstar.WithRelabeling(simstar.RelabelDegree), simstar.WithTolerance(1e-4)},
 	} {
 		eng := simstar.NewEngine(g, opts...)
 		plain := simstar.NewEngine(g, opts[:len(opts)-0]...) // same opts; separate caches
@@ -175,7 +174,10 @@ func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {
 }
 
 // The exact fast-path serving loop must be allocation-free once warmed:
-// pooled kernel workspaces, caller-owned result buffer, no result cache.
+// pooled kernel workspaces, caller-owned result buffer, no result cache —
+// in natural order, relabelled, and under parallel sweeps, where the
+// borrowed sweeper's persistent workers absorb the fan-out. Two sweep
+// workers, not one per CPU, so the sweeper fans out on a 1-CPU host too.
 func TestSingleSourceIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts are not meaningful")
@@ -183,8 +185,9 @@ func TestSingleSourceIntoZeroAlloc(t *testing.T) {
 	g := dataset.RMATDefault(9, 4, 13) // 512 nodes
 	ctx := context.Background()
 	for name, opts := range map[string][]simstar.Option{
-		"natural": {simstar.WithCacheSize(-1)},
-		"rcm":     {simstar.WithCacheSize(-1), simstar.WithRelabeling(simstar.RelabelRCM)},
+		"natural":  {simstar.WithCacheSize(-1)},
+		"degree":   {simstar.WithCacheSize(-1), simstar.WithRelabeling(simstar.RelabelDegree)},
+		"parallel": {simstar.WithCacheSize(-1), simstar.WithParallelSweeps(2)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := simstar.NewEngine(g, opts...)

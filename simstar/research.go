@@ -26,7 +26,7 @@ const MeasureMtxSimRank = "mtx-simrank"
 func WithRank(r int) Option { return func(cfg *config) { cfg.rank = r } }
 
 func init() {
-	registerBuiltin(MeasureMtxSimRank, factoryFor(MeasureMtxSimRank,
+	Register(MeasureMtxSimRank, factoryFor(MeasureMtxSimRank,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			// The SVD solver is not iterative; the entry check in AllPairs
 			// is its cancellation point.

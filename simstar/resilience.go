@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // This file is the engine's resilience surface: per-query deadline budgets
@@ -33,12 +31,15 @@ const FaultPointKernel = "kernel"
 
 // HasCertifiedPath reports whether the named measure has a threshold-sieved
 // approximate fast path under WithTolerance — one whose results carry a
-// machine-checkable MaxError certificate. An overload governor uses this to
-// decide which queries can degrade to approximate answers without losing
-// the exactness contract silently; measures without a certified path ignore
-// WithTolerance and always answer exactly.
+// machine-checkable MaxError certificate. That holds exactly for the names
+// (and aliases) bound to a built-in row of the engine's kernel table:
+// geometric and exponential SimRank*, their memo variants, and RWR. A name
+// re-registered with Register has no row and reports false. An overload
+// governor uses this to decide which queries can degrade to approximate
+// answers without losing the exactness contract silently; measures without
+// a certified path ignore WithTolerance and always answer exactly.
 func HasCertifiedPath(measureName string) bool {
-	return fastPathKernel(builtinFor(measureName))
+	return kernelsFor(measureName) != nil
 }
 
 // deadlineCtx applies cfg's WithDeadline budget to ctx: a derived timeout
@@ -69,13 +70,4 @@ func (e *Engine) recoverKernel(errp *error) {
 	if r := recover(); r != nil {
 		*errp = fmt.Errorf("%w: %v", ErrKernelPanic, r)
 	}
-}
-
-// safeComputeSingleSource runs computeSingleSource behind the fault hook
-// and the panic isolation boundary — the allocating single-source read
-// path's kernel step.
-func (e *Engine) safeComputeSingleSource(ctx context.Context, st *engineState, measureName string, q int, kt *obs.KernelTrace) (scores []float64, maxErr float64, err error) {
-	defer e.recoverKernel(&err)
-	e.cfg.fireFault(FaultPointKernel)
-	return e.computeSingleSource(ctx, st, measureName, q, kt)
 }

@@ -98,22 +98,25 @@ func TestWithDeadlineHarmless(t *testing.T) {
 }
 
 // HasCertifiedPath must say yes exactly for the measures whose WithTolerance
-// path produces MaxError certificates.
+// path produces MaxError certificates — the kernel table's rows, by name and
+// by alias — and no for every other registered measure and unknown names.
 func TestHasCertifiedPath(t *testing.T) {
-	for _, name := range []string{
-		simstar.MeasureGeometric, simstar.MeasureGeometricMemo,
-		simstar.MeasureExponential, simstar.MeasureExponentialMemo,
-		simstar.MeasureRWR,
-	} {
-		if !simstar.HasCertifiedPath(name) {
-			t.Errorf("HasCertifiedPath(%q) = false, want true", name)
+	certified := map[string]bool{
+		simstar.MeasureGeometric: true, simstar.MeasureGeometricMemo: true,
+		simstar.MeasureExponential: true, simstar.MeasureExponentialMemo: true,
+		simstar.MeasureRWR: true,
+	}
+	for _, name := range simstar.Names() {
+		if got := simstar.HasCertifiedPath(name); got != certified[name] {
+			t.Errorf("HasCertifiedPath(%q) = %v, want %v", name, got, certified[name])
 		}
 	}
-	for _, name := range []string{
-		simstar.MeasureSimRank, simstar.MeasurePRank, simstar.MeasureSparse, "no-such-measure",
-	} {
-		if simstar.HasCertifiedPath(name) {
-			t.Errorf("HasCertifiedPath(%q) = true, want false", name)
+	for _, alias := range []string{"iter-gsr*", "memo-esr*", "ppr", "GSimRank*"} {
+		if !simstar.HasCertifiedPath(alias) {
+			t.Errorf("HasCertifiedPath(%q) = false, want true", alias)
 		}
+	}
+	if simstar.HasCertifiedPath("no-such-measure") {
+		t.Error("HasCertifiedPath(\"no-such-measure\") = true, want false")
 	}
 }

@@ -2,11 +2,8 @@ package simstar
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/rwr"
 )
 
 // streamScratch is the pooled per-query scratch of the streaming top-k fast
@@ -98,8 +95,8 @@ func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, e
 	if err := st.checkQuery(ctx, q); err != nil {
 		return nil, err
 	}
-	builtin := builtinFor(measureName)
-	if !fastPathKernel(builtin) || e.cfg.tolerance >= MinTolerance {
+	kern := kernelsFor(measureName)
+	if kern == nil || e.cfg.tolerance >= MinTolerance {
 		// count=false: already counted under kind=stream above. The slow path
 		// carries the deadline, fault and panic-isolation wrapping itself.
 		scores, maxErr, cached, err := e.singleSourceObs(ctx, st, measureName, q, false, nil)
@@ -126,74 +123,15 @@ func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, e
 
 	sc := st.getStream()
 	defer st.putStream(sc)
-	ws := st.getWS()
-	defer st.putWS(ws)
-	sw := st.sweeperFor(e.cfg)
-	if sw != nil {
-		defer st.putSweeper(sw)
+	if err := e.runExact(ctx, st, kern, q, sc.scores, nil); err != nil {
+		return nil, err
 	}
-
 	sc.exclude = append(sc.exclude[:0], q)
 	sc.exclude = append(sc.exclude, exclude...)
 	kk := min(max(k, 0), st.g.N())
-	// dst is the stream's storage — freshly allocated (never pooled: it
-	// outlives this call inside the returned stream), sized so TopKInto
-	// fills it without growing.
-	dst := make([]Ranked, 0, kk)
-
-	// The stream fast path borrows the workspace-resident kernel trace like
-	// SingleSourceInto does, so observed streams stay O(k)-allocating.
-	var kt *obs.KernelTrace
-	if o != nil {
-		kt = &ws.Trace
-		kt.Reset()
-	}
-	start := time.Now()
-	e.cfg.fireFault(FaultPointKernel)
-
-	var top []Ranked
-	if st.layout == nil {
-		// Kernel order is external order: fuse selection into the kernel
-		// call, skipping the full-vector staging entirely.
-		switch builtin {
-		case MeasureGeometric, MeasureGeometricMemo:
-			opt := e.cfg.coreOptions()
-			opt.Trace = kt
-			if sw != nil {
-				opt.Parallel = sw
-				opt.Transposed = st.kernelBackwardT()
-			}
-			top, err = core.SingleSourceGeometricTopKWS(ctx, st.kernelBackward(), q, kk, opt, ws, sc.scores, dst, sc.exclude...)
-		case MeasureExponential, MeasureExponentialMemo:
-			opt := e.cfg.coreOptions()
-			opt.Trace = kt
-			if sw != nil {
-				opt.Parallel = sw
-				opt.Transposed = st.kernelBackwardT()
-			}
-			top, err = core.SingleSourceExponentialTopKWS(ctx, st.kernelBackward(), q, kk, opt, ws, sc.scores, dst, sc.exclude...)
-		case MeasureRWR:
-			opt := e.cfg.rwrOptions()
-			opt.Trace = kt
-			if sw != nil {
-				opt.Parallel = sw
-				opt.Transposed = st.kernelForwardT()
-			}
-			top, err = rwr.SingleSourceTopKWS(ctx, st.kernelForward(), q, kk, opt, ws, sc.scores, dst, sc.exclude...)
-		}
-	} else {
-		// Under relabeling the tie-break is defined on external ids, so the
-		// vector must be back in external order before selection.
-		if err = e.exactSingleSourceInto(ctx, st, builtin, st.toInternal(q), ws, sw, sc.scores, kt); err == nil {
-			st.externalize(sc.scores, ws)
-			top = core.TopKInto(sc.scores, kk, dst, sc.exclude...)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if o != nil {
-		o.recordKernel(kt, time.Since(start))
-	}
+	// The stream's storage is freshly allocated (never pooled: it outlives
+	// this call inside the returned stream), sized so TopKInto fills it
+	// without growing.
+	top := core.TopKInto(sc.scores, kk, make([]Ranked, 0, kk), sc.exclude...)
 	return &TopKStream{ranked: top}, nil
 }
