@@ -6,7 +6,7 @@ GO ?= go
 # The staticcheck release CI pins; needs network on first run.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test perfbench-test race lint simlint staticcheck doccheck fmt bench-smoke bench-serve
+.PHONY: build test perfbench-test perfbench-smoke race lint simlint staticcheck doccheck fmt bench-smoke bench-serve
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,11 @@ test:
 perfbench-test:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test .
+
+# A short end-to-end run of the repository benchmark; fails unless every
+# answer is correct and no op failed.
+perfbench-smoke:
+	bash perfbench/run.sh --workload topk_cold --seed 1 --seconds 3 --trace 0 | tail -1 | jq -e '.correct and .failed == 0'
 
 race:
 	$(GO) test -race ./...

@@ -305,11 +305,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload sampling seed (the graph is fixed; the seed moves only the queries)")
 	mode := flag.String("mode", "engine", "target: engine (in-process) or http (a running simserve)")
 	addr := flag.String("addr", "http://localhost:8080", "simserve base URL for -mode http")
-	out := flag.String("out", "BENCH_7.json", "output path for the JSON report (\"-\" for stdout)")
+	out := flag.String("out", "-", "output path for the JSON report (\"-\", the default, for stdout)")
 	note := flag.String("note", "", "free-form context recorded in the report")
 	opsFlag := flag.Int("ops", 0, "override the profile's op budget")
 	workersFlag := flag.Int("workers", 0, "override the profile's worker count")
-	sweepsFlag := flag.Int("parallel-sweeps", 0, "WithParallelSweeps for -mode engine: 0/1 serial, n>1 that many workers, -1 all cores")
 	scenariosFlag := flag.String("scenarios", "", "comma-separated scenario filter (default: all)")
 	chaosFlag := flag.Bool("chaos", false, "run the chaos scenario instead: the mixed workload with per-op deadlines, scored on the resilience contract (nonzero exit on violations)")
 	faultSpec := flag.String("fault", "", "fault-injection spec for -chaos -mode engine, e.g. 'kernel.panic:0.02,kernel.slow:0.05:2ms' (for -mode http start simserve with -fault instead)")
@@ -333,7 +332,6 @@ func main() {
 	// built with the same options (minus faults) so certificates are checked
 	// against the exact kernel the target actually deviates from.
 	engineOpts := []simstar.Option{
-		simstar.WithParallelSweeps(*sweepsFlag),
 		simstar.WithMiner(simstar.MinerOptions{
 			MinSources: 64, MinTargets: 64, DisablePairMining: true,
 		}),
@@ -355,9 +353,6 @@ func main() {
 		}
 		t = newEngineTarget(g, p.tolerance, opts...)
 	case "http":
-		if *sweepsFlag != 0 {
-			fmt.Fprintf(os.Stderr, "simbench: -parallel-sweeps applies to -mode engine only; the server's own configuration wins\n")
-		}
 		if *faultSpec != "" {
 			fmt.Fprintf(os.Stderr, "simbench: -fault applies to -mode engine only; start simserve with -fault to inject server-side\n")
 		}
@@ -412,7 +407,10 @@ func main() {
 	}
 	raw = append(raw, '\n')
 	if *out == "-" {
-		os.Stdout.Write(raw)
+		if _, err := os.Stdout.Write(raw); err != nil {
+			fmt.Fprintf(os.Stderr, "simbench: writing the report to stdout: %v\n", err)
+			os.Exit(1)
+		}
 	} else {
 		if err := os.WriteFile(*out, raw, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "simbench: writing %s: %v\n", *out, err)

@@ -102,23 +102,11 @@ func (ws *approxGeoWS) reset() {
 	}
 }
 
-// scatterSweep runs one frontier sweep dst = mᵀ·src, fanned out across sw's
-// workers when a Sweeper is set (bitwise-identical to the serial scatter —
-// see Sweeper.ScatterMulT) and serially otherwise.
-func scatterSweep(sw *sparse.Sweeper, m *sparse.CSR, dst, src *sparse.Frontier) {
-	if sw != nil {
-		sw.ScatterMulT(m, dst, src)
-		return
-	}
-	m.ScatterMulT(dst, src)
-}
-
 func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64) ([]float64, float64, error) {
 	ws.reset()
 	k, opt := ws.k, ws.opt
 	half := opt.C / 2
 	tr := opt.Trace
-	sw := opt.Parallel
 	// K backward sieve points plus K Horner sieve points.
 	budget := sparse.NewCertBudget(tol, 2*k)
 	budget.Trace = tr
@@ -133,7 +121,7 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 				return nil, 0, err
 			}
 			next.Reset()
-			scatterSweep(sw, qm, next, cur) // next = Qᵀ·cur
+			qm.ScatterMulT(next, cur) // next = Qᵀ·cur
 			cur, next = next, cur
 			budget.SieveMass(cur, ws.weights[beta])
 			if tr != nil {
@@ -156,7 +144,7 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 			return nil, 0, err
 		}
 		zbuf.Reset()
-		scatterSweep(sw, qt, zbuf, z) // zbuf = Q·z
+		qt.ScatterMulT(zbuf, z) // zbuf = Q·z
 		z, zbuf = zbuf, z
 		z.AddScaled(1, ws.y[alpha])
 		budget.SievePeak(z, 1-opt.C)
@@ -168,9 +156,6 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 	cert := budget.Certificate()
 	if tr != nil {
 		tr.Certificate = cert
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return z.Dense(1 - opt.C), cert, nil
 }
@@ -227,7 +212,6 @@ func (ws *approxExpWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 	k := ws.k
 	scale := math.Exp(-ws.opt.C)
 	tr := ws.opt.Trace
-	sw := ws.opt.Parallel
 	budget := sparse.NewCertBudget(tol, 2*k)
 	budget.Trace = tr
 
@@ -245,7 +229,7 @@ func (ws *approxExpWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 			break
 		}
 		next.Reset()
-		scatterSweep(sw, qm, next, cur)
+		qm.ScatterMulT(next, cur)
 		cur, next = next, cur
 		budget.SieveMass(cur, scale*ws.suffix[0]*ws.suffix[j+1])
 		if tr != nil {
@@ -266,7 +250,7 @@ func (ws *approxExpWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 			break
 		}
 		fnext.Reset()
-		scatterSweep(sw, qt, fnext, fcur) // fnext = Q·fcur
+		qt.ScatterMulT(fnext, fcur) // fnext = Q·fcur
 		fcur, fnext = fnext, fcur
 		budget.SievePeak(fcur, scale*ws.suffix[i+1])
 		if tr != nil {
@@ -277,9 +261,6 @@ func (ws *approxExpWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 	cert := budget.Certificate()
 	if tr != nil {
 		tr.Certificate = cert
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return ws.s.Dense(scale), cert, nil
 }

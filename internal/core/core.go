@@ -53,18 +53,6 @@ type Options struct {
 	// the default — costs one branch per kernel run and zero allocations;
 	// call sites on noalloc paths guard it explicitly (simlint obsnoop).
 	Trace *obs.KernelTrace
-	// Parallel, when non-nil, fans each sparse sweep out across the
-	// Sweeper's workers, row-range partitioned so results stay
-	// bitwise-identical to the serial kernels. The caller owns the Sweeper
-	// for the duration of the call (single borrower). Nil — the default —
-	// runs every sweep on the calling goroutine.
-	Parallel *sparse.Sweeper
-	// Transposed is the materialised transpose of the sweep operator
-	// (Qᵀ for the SimRank* kernels). Backward sweeps parallelise as
-	// row-range gathers over the transpose; when Parallel is set but
-	// Transposed is nil, backward sweeps stay serial and only the
-	// gather-direction sweeps fan out.
-	Transposed *sparse.CSR
 }
 
 func (o Options) withDefaults() Options {

@@ -74,10 +74,6 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 		panic("core: SingleSourceGeometricWS workspace dimension mismatch")
 	}
 	ws.Reset()
-	// Backward sweeps parallelise as gathers over the materialised
-	// transpose; without it only the forward (Horner) sweeps fan out.
-	sw := opt.Parallel
-	qt := opt.Transposed
 
 	// y_α accumulates Σ_β (C/2)^{α+β} binom(α+β, α) w_β; each walk vector
 	// w_β = (Qᵀ)^β e_q folds into every y_α it contributes to as soon as it
@@ -98,11 +94,7 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if sw != nil && qt != nil {
-				sw.MulVecInto(qt, next, cur)
-			} else {
-				qm.MulVecTInto(next, cur)
-			}
+			qm.MulVecTInto(next, cur)
 			sweeps++
 			cur, next = next, cur
 		}
@@ -123,11 +115,7 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if sw != nil {
-			sw.MulVecAddInto(qm, next, z, y[alpha])
-		} else {
-			qm.MulVecAddInto(next, z, y[alpha])
-		}
+		qm.MulVecAddInto(next, z, y[alpha])
 		sweeps++
 		z, next = next, z
 	}
@@ -137,19 +125,12 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if sw != nil {
-			sw.MulVecAddScaleInto(qm, dst, z, y[0], 1-opt.C)
-		} else {
-			qm.MulVecAddScaleInto(dst, z, y[0], 1-opt.C)
-		}
+		qm.MulVecAddScaleInto(dst, z, y[0], 1-opt.C)
 		sweeps++
 	}
 	applySieveVec(dst, opt.Sieve)
 	if tr := opt.Trace; tr != nil {
 		tr.AddSweeps(sweeps)
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return nil
 }
@@ -185,8 +166,6 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 		panic("core: SingleSourceExponentialWS workspace dimension mismatch")
 	}
 	ws.Reset()
-	sw := opt.Parallel
-	qt := opt.Transposed
 
 	// v = T_Kᵀ e_q = Σ_j (C/2)ʲ/j!·(Qᵀ)ʲ e_q.
 	v := ws.Take()
@@ -203,11 +182,7 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 		if j == k {
 			break
 		}
-		if sw != nil && qt != nil {
-			sw.MulVecInto(qt, next, cur)
-		} else {
-			qm.MulVecTInto(next, cur)
-		}
+		qm.MulVecTInto(next, cur)
 		sweeps++
 		cur, next = next, cur
 		coef *= opt.C / (2 * float64(j+1))
@@ -225,11 +200,7 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 		if i == k {
 			break
 		}
-		if sw != nil {
-			sw.MulVecInto(qm, fnext, fcur)
-		} else {
-			qm.MulVecInto(fnext, fcur)
-		}
+		qm.MulVecInto(fnext, fcur)
 		sweeps++
 		fcur, fnext = fnext, fcur
 		coef *= opt.C / (2 * float64(i+1))
@@ -238,9 +209,6 @@ func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt O
 	applySieveVec(dst, opt.Sieve)
 	if tr := opt.Trace; tr != nil {
 		tr.AddSweeps(sweeps)
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return nil
 }

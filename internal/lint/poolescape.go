@@ -27,8 +27,7 @@ import (
 //     drivers (For, ForEach, ForEachCtx): the loop body runs on several
 //     goroutines at once, so a single shared workspace races with itself
 //     even though every worker finishes before the Put. Each worker must
-//     own its arena (Get inside the closure, or a per-worker pool like
-//     sparse.Sweeper's).
+//     own its arena (Get inside the closure).
 //
 // Passing the value to an ordinary call is allowed — that is exactly what
 // the `defer pool.Put(v)` pattern and the kernel invocations do. Methods of

@@ -40,13 +40,6 @@ type KernelTrace struct {
 	// query — non-zero only on a pool miss or first use, the pooled
 	// steady state reuses every buffer.
 	WorkspaceGrew int `json:"workspace_grew,omitempty"`
-	// ParSweeps counts the sweeps that actually fanned out across Sweeper
-	// workers (a sweep below the fan-out gate runs serially and is not
-	// counted). 0 for serial queries.
-	ParSweeps int `json:"par_sweeps,omitempty"`
-	// SweepWorkers is the Sweeper worker count the query ran with;
-	// 0 for serial queries.
-	SweepWorkers int `json:"sweep_workers,omitempty"`
 }
 
 // Reset zeroes the trace for reuse.
@@ -74,16 +67,6 @@ func (t *KernelTrace) ObserveFrontier(n int) {
 		t.FrontierMax = n
 	}
 	t.FrontierLast = n
-}
-
-// AddParSweeps records n parallel sweep fan-outs at the given worker count.
-// n == 0 (no sweep cleared the fan-out gate) leaves the trace untouched.
-func (t *KernelTrace) AddParSweeps(n, workers int) {
-	if t == nil || n == 0 {
-		return
-	}
-	t.ParSweeps += n
-	t.SweepWorkers = workers
 }
 
 // AddSieveSpend records one sieve's certified dropped mass.

@@ -14,20 +14,20 @@ import (
 // Workers is the default parallelism degree.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// PanicBox collects the first panic recovered on a fan-out worker so the
+// panicBox collects the first panic recovered on a fan-out worker so the
 // goroutine that owns the fan-out can re-raise it after the barrier. A panic
 // inside a bare spawned goroutine kills the whole process; routing it
-// through a PanicBox turns "one bad kernel task" into an ordinary panic on
+// through a panicBox turns "one bad kernel task" into an ordinary panic on
 // the caller, where the serving layers recover it into an error. The zero
 // value is ready to use.
-type PanicBox struct {
+type panicBox struct {
 	mu  sync.Mutex
 	val any
 }
 
 // Record stores v as the box's panic if it is the first one; later panics of
 // the same fan-out are dropped (the caller can only re-raise one).
-func (b *PanicBox) Record(v any) {
+func (b *panicBox) Record(v any) {
 	b.mu.Lock()
 	if b.val == nil {
 		b.val = v
@@ -35,14 +35,11 @@ func (b *PanicBox) Record(v any) {
 	b.mu.Unlock()
 }
 
-// Rethrow drains the box and panics with the recorded value, if any. It must
-// run after the fan-out's barrier, on the owning goroutine. Draining before
-// panicking keeps a pooled owner from re-raising a stale panic on its next
-// borrow.
-func (b *PanicBox) Rethrow() {
+// Rethrow panics with the recorded value, if any. It must run after the
+// fan-out's barrier, on the owning goroutine.
+func (b *panicBox) Rethrow() {
 	b.mu.Lock()
 	v := b.val
-	b.val = nil
 	b.mu.Unlock()
 	if v != nil {
 		panic(v)
@@ -71,7 +68,7 @@ func For(n, workers int, fn func(lo, hi int)) {
 		return
 	}
 	var wg sync.WaitGroup
-	var pan PanicBox
+	var pan panicBox
 	chunk := (n + workers - 1) / workers
 	lo := 0
 	for ; lo+chunk < n; lo += chunk {
@@ -134,7 +131,7 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	var pan PanicBox
+	var pan panicBox
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

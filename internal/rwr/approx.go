@@ -71,7 +71,6 @@ func (ws *approxRWRWS) run(ctx context.Context, w *sparse.CSR, q int, tol float6
 		out[i] = 0
 	}
 	tr := opt.Trace
-	sw := opt.Parallel
 	budget := sparse.NewCertBudget(tol, opt.K)
 	budget.Trace = tr
 
@@ -87,11 +86,7 @@ func (ws *approxRWRWS) run(ctx context.Context, w *sparse.CSR, q int, tol float6
 			break
 		}
 		next.Reset()
-		if sw != nil {
-			sw.ScatterMulT(w, next, cur) // next = Wᵀ·cur
-		} else {
-			w.ScatterMulT(next, cur) // next = Wᵀ·cur
-		}
+		w.ScatterMulT(next, cur) // next = Wᵀ·cur
 		cur, next = next, cur
 		budget.SieveMass(cur, ws.tail[k+1])
 		if tr != nil {
@@ -103,9 +98,6 @@ func (ws *approxRWRWS) run(ctx context.Context, w *sparse.CSR, q int, tol float6
 	cert := budget.Certificate()
 	if tr != nil {
 		tr.Certificate = cert
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return out, cert, nil
 }

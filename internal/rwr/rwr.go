@@ -32,15 +32,6 @@ type Options struct {
 	// frontier widths, sieve spend). Nil costs one branch per kernel run;
 	// call sites on noalloc paths guard it explicitly (simlint obsnoop).
 	Trace *obs.KernelTrace
-	// Parallel, when non-nil, fans each sparse sweep out across the
-	// Sweeper's workers; results stay bitwise-identical to serial. The
-	// caller owns the Sweeper for the duration of the call.
-	Parallel *sparse.Sweeper
-	// Transposed is the materialised transpose of the forward transition
-	// matrix (Wᵀ). The RWR walk's backward sweeps parallelise as gathers
-	// over it; when Parallel is set but Transposed is nil those sweeps
-	// stay serial.
-	Transposed *sparse.CSR
 }
 
 func (o Options) withDefaults() Options {
@@ -125,8 +116,6 @@ func SingleSourceWS(ctx context.Context, w *sparse.CSR, q int, opt Options, ws *
 		panic("rwr: SingleSourceWS workspace dimension mismatch")
 	}
 	ws.Reset()
-	sw := opt.Parallel
-	wt := opt.Transposed
 	// Row q of Σ Cᵏ Wᵏ: iterate vᵀ ← vᵀW, i.e. v ← Wᵀv.
 	cur := ws.Take()
 	cur[q] = 1
@@ -146,11 +135,7 @@ func SingleSourceWS(ctx context.Context, w *sparse.CSR, q int, opt Options, ws *
 		if k == opt.K {
 			break
 		}
-		if sw != nil && wt != nil {
-			sw.MulVecInto(wt, next, cur)
-		} else {
-			w.MulVecTInto(next, cur)
-		}
+		w.MulVecTInto(next, cur)
 		sweeps++
 		cur, next = next, cur
 		coef *= opt.C
@@ -164,9 +149,6 @@ func SingleSourceWS(ctx context.Context, w *sparse.CSR, q int, opt Options, ws *
 	}
 	if tr := opt.Trace; tr != nil {
 		tr.AddSweeps(sweeps)
-		if sw != nil {
-			tr.AddParSweeps(sw.TakeParSweeps(), sw.Workers())
-		}
 	}
 	return nil
 }

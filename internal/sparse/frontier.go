@@ -124,12 +124,11 @@ func (f *Frontier) Sieve(tau float64) (dropped, maxDropped float64) {
 // m = Qᵀ materialised it computes Q·src, one sparse forward sweep. dst and
 // src must be distinct frontiers of matching dimensions.
 //
-// The touched list of dst comes back sorted ascending. First-touch order is
-// an artefact of src's traversal order, and everything downstream of a sweep
-// (later sweeps, sieve compaction, dropped-mass summation) iterates the
-// touched list — canonicalising it here is what makes the parallel sweep
-// form (Sweeper.ScatterMulT), which discovers first touches per output
-// range, bitwise-identical to this serial form, certificates included.
+// The touched list of dst comes back sorted ascending, not in first-touch
+// order. The sieve and the next sweep walk the touched list in order: the
+// sieve sums the dropped mass along it and the next sweep accumulates every
+// output element along it. So this order fixes the sieved kernels' bits and
+// certificates; changing it changes them.
 func (m *CSR) ScatterMulT(dst, src *Frontier) {
 	if src.Dim() != m.R || dst.Dim() != m.C {
 		panic("sparse: ScatterMulT dimension mismatch")

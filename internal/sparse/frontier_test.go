@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -91,6 +92,26 @@ func TestScatterMulTMatchesMulVecT(t *testing.T) {
 				t.Fatalf("trial %d: phantom touched index %d", trial, i)
 			}
 		}
+	}
+}
+
+// TestScatterMulTSortsTouched pins the canonical ordering of the touched
+// list: the sieve and the next sweep walk it in order, so the order fixes
+// the sieved kernels' bits and certificates.
+func TestScatterMulTSortsTouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	g := randomGraph(rng, 100, 700)
+	m := BackwardTransition(g)
+	src := NewFrontier(m.R)
+	// Touch in descending order so first-touch order alone would come out
+	// unsorted.
+	for i := m.R - 1; i >= 0; i -= 3 {
+		src.Add(int32(i), 0.5)
+	}
+	dst := NewFrontier(m.C)
+	m.ScatterMulT(dst, src)
+	if !slices.IsSorted(dst.idx) {
+		t.Fatal("ScatterMulT left the touched list unsorted")
 	}
 }
 

@@ -156,16 +156,7 @@ func (m *CSR) MulVec(x []float64) []float64 {
 //
 //simstar:noalloc
 func (m *CSR) MulVecInto(y, x []float64) {
-	m.mulVecRange(y, x, 0, m.R)
-}
-
-// mulVecRange computes y[i] = (m·x)[i] for i in [lo, hi). The per-row dot
-// products are independent, so any row partition of [0, R) reproduces
-// MulVecInto bitwise.
-//
-//simstar:noalloc
-func (m *CSR) mulVecRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.R; i++ {
 		cols, vals := m.RowView(i)
 		var s float64
 		for k, c := range cols {
@@ -229,14 +220,7 @@ func (m *CSR) MulVecAddInto(y, x, add []float64) {
 	if len(x) != m.C || len(y) != m.R || len(add) != m.R {
 		panic("sparse: MulVecAddInto dimension mismatch")
 	}
-	m.mulVecAddRange(y, x, add, 0, m.R)
-}
-
-// mulVecAddRange is the row-range body of MulVecAddInto (see mulVecRange).
-//
-//simstar:noalloc
-func (m *CSR) mulVecAddRange(y, x, add []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.R; i++ {
 		cols, vals := m.RowView(i)
 		var s float64
 		for k, c := range cols {
@@ -255,15 +239,7 @@ func (m *CSR) MulVecAddScaleInto(y, x, add []float64, scale float64) {
 	if len(x) != m.C || len(y) != m.R || len(add) != m.R {
 		panic("sparse: MulVecAddScaleInto dimension mismatch")
 	}
-	m.mulVecAddScaleRange(y, x, add, scale, 0, m.R)
-}
-
-// mulVecAddScaleRange is the row-range body of MulVecAddScaleInto (see
-// mulVecRange).
-//
-//simstar:noalloc
-func (m *CSR) mulVecAddScaleRange(y, x, add []float64, scale float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.R; i++ {
 		cols, vals := m.RowView(i)
 		var s float64
 		for k, c := range cols {

@@ -154,11 +154,14 @@ func (e *Engine) batch(ctx context.Context, queries []Query, topk bool) []Result
 	})
 
 	// Queries the pool never dispatched (cancelled mid-batch) still owe the
-	// caller an answer.
+	// caller an answer, and an expired deadline is counted once per group,
+	// as the dispatched representatives count it.
 	for j, g := range groups {
 		if !ran[j] {
+			err := ctx.Err()
+			g.eng.cfg.observer.observeCancel(ctx, err)
 			for _, i := range g.idx {
-				results[i] = Result{Err: ctx.Err()}
+				results[i] = Result{Err: err}
 			}
 		}
 	}

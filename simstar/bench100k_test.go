@@ -41,10 +41,9 @@ var benchMiner = simstar.WithMiner(simstar.MinerOptions{
 // single-source SimRank* through the engine on a 100k-node degree-3 graph,
 // result cache disabled so every iteration pays the kernel. The sub-benchmarks
 // compare the natural (scrambled) layout against WithRelabeling, and run the
-// pooled zero-allocation SingleSourceInto loop serially, under
-// WithParallelSweeps(-1) (the intra-query fan-out speedup for the host's
-// core count) and with a live Observer (the instrumentation overhead). Every
-// "-into" variant must report 0 allocs/op:
+// pooled zero-allocation SingleSourceInto loop bare and with a live Observer
+// (the instrumentation overhead). Every "-into" variant must report
+// 0 allocs/op:
 //
 //	go test ./simstar -run '^$' -bench 'EngineSingleSource100k/exact-degree-into' -benchmem -benchtime 50x
 func BenchmarkEngineSingleSource100k(b *testing.B) {
@@ -63,9 +62,8 @@ func BenchmarkEngineSingleSource100k(b *testing.B) {
 		}
 	}
 	// The zero-allocation serving loop: pooled kernel workspaces plus a
-	// caller-owned result buffer. One query before the timer fills the pools
-	// and builds the transpose a parallel sweep gathers over, so allocs/op
-	// reads the steady state at any -benchtime.
+	// caller-owned result buffer. One query before the timer fills the pools,
+	// so allocs/op reads the steady state at any -benchtime.
 	into := func(b *testing.B, eng *simstar.Engine) {
 		b.Helper()
 		buf := make([]float64, g.N())
@@ -88,9 +86,6 @@ func BenchmarkEngineSingleSource100k(b *testing.B) {
 	})
 	b.Run("exact-degree-into", func(b *testing.B) {
 		into(b, engine(degree))
-	})
-	b.Run("exact-degree-into-parallel", func(b *testing.B) {
-		into(b, engine(degree, simstar.WithParallelSweeps(-1)))
 	})
 	b.Run("exact-degree-into-observed", func(b *testing.B) {
 		into(b, engine(degree, simstar.WithObserver(simstar.NewObserver(nil))))

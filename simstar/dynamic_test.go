@@ -51,8 +51,8 @@ func churn(rng *rand.Rand, n int, set map[[2]int]bool, count int) []simstar.Edit
 }
 
 // pooledAnswers runs query node q down every path that borrows pooled
-// scratch — kernel workspaces, stream buffers and sweepers, exact and
-// sieved — and returns each answer under the path's name.
+// scratch — kernel workspaces and stream buffers, exact and sieved — and
+// returns each answer under the path's name.
 func pooledAnswers(t *testing.T, eng *simstar.Engine, q int) map[string]any {
 	t.Helper()
 	ctx := context.Background()
@@ -81,16 +81,11 @@ func pooledAnswers(t *testing.T, eng *simstar.Engine, q int) map[string]any {
 			t.Fatal(r.Err)
 		}
 	}
-	parallel, err := eng.With(simstar.WithParallelSweeps(2)).SingleSource(ctx, simstar.MeasureRWR, q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]any{
-		"SingleSourceInto":    into,
-		"TopKStream":          streamed,
-		"WithTolerance":       sieved,
-		"BatchTopK":           [][]simstar.Ranked{batch[0].Top, batch[1].Top},
-		"WithParallelSweeps2": parallel,
+		"SingleSourceInto": into,
+		"TopKStream":       streamed,
+		"WithTolerance":    sieved,
+		"BatchTopK":        [][]simstar.Ranked{batch[0].Top, batch[1].Top},
 	}
 }
 

@@ -75,10 +75,10 @@ type engineState struct {
 	g     *Graph
 	epoch uint64
 
-	backward *sparse.CSR // Q: row-normalised transposed adjacency
-	forward  *sparse.CSR // W: row-normalised adjacency
-	comp     *compHolder // edge-concentration compression, possibly lazy
-	tr       *transposes // lazily-materialised Qᵀ, Wᵀ for the sieved and parallel sweeps
+	backward *sparse.CSR   // Q: row-normalised transposed adjacency
+	forward  *sparse.CSR   // W: row-normalised adjacency
+	comp     *compHolder   // edge-concentration compression, possibly lazy
+	qt       lazyTranspose // Qᵀ for the sieved SimRank* kernels, built on first use
 
 	// layout is the cache-conscious relabeling of this epoch, nil without
 	// WithRelabeling. The natural-order matrices above always exist — the
@@ -104,7 +104,7 @@ type engineState struct {
 // pools: the transition matrices, compression and layout are filled in by
 // the caller.
 func newEngineState(g *Graph, epoch uint64, pools *scratchPools) *engineState {
-	return &engineState{g: g, epoch: epoch, tr: &transposes{}, pools: pools}
+	return &engineState{g: g, epoch: epoch, pools: pools}
 }
 
 // scratchPools recycles the per-query scratch of the fast paths for one
@@ -121,14 +121,6 @@ type scratchPools struct {
 	// vector. Separate from workspaces because the kernels reset their
 	// workspace — the scores under selection cannot share it.
 	streams sync.Pool
-
-	// sweepers recycles the intra-query sweep-parallelism worker pools
-	// (sparse.Sweeper) queries borrow under WithParallelSweeps. One sweeper
-	// is owned by exactly one query for its whole run — its workers and
-	// per-worker arenas are private to that borrow — and returns here with
-	// its goroutines still parked, so steady-state parallel queries spawn
-	// nothing and allocate nothing.
-	sweepers sync.Pool
 }
 
 // newScratchPools builds an empty set for n-node states. A non-nil observer
@@ -144,7 +136,6 @@ func newScratchPools(n int, o *Observer) *scratchPools {
 		return sparse.NewWorkspace(n)
 	}
 	p.streams.New = func() any { return &streamScratch{scores: make([]float64, n)} }
-	p.sweepers.New = func() any { return sparse.NewSweeper(1) }
 	return p
 }
 
@@ -161,9 +152,9 @@ type layoutState struct {
 	// gather through perm (see toInternal/externalize), so the inverse is
 	// never materialised here.
 
-	backward *sparse.CSR // P·Q·Pᵀ
-	forward  *sparse.CSR // P·W·Pᵀ
-	tr       *transposes // lazily-materialised permuted transposes
+	backward *sparse.CSR   // P·Q·Pᵀ
+	forward  *sparse.CSR   // P·W·Pᵀ
+	qt       lazyTranspose // (P·Q·Pᵀ)ᵀ, built on first use
 }
 
 // newLayoutState derives the degree order of g under RelabelDegree and
@@ -180,21 +171,13 @@ func newLayoutState(mode RelabelMode, g *Graph, backward, forward *sparse.CSR) *
 		perm:     perm,
 		backward: sparse.Permute(backward, perm),
 		forward:  sparse.Permute(forward, perm),
-		tr:       &transposes{},
 	}
 }
 
-// transposes holds the transposes Qᵀ and Wᵀ of one operator pair, each
-// built on its first use and independently of the other: sieved SimRank*
-// reads need only Qᵀ, and a parallel exact sweep needs only the transpose
-// of the operator it sweeps.
-type transposes struct {
-	backward, forward lazyTranspose
-}
-
-// lazyTranspose is one transpose, materialised once per epoch like the
-// transitions themselves, but only by callers of the sieved and parallel
-// paths.
+// lazyTranspose is the transpose Qᵀ of a backward operator, which the
+// sieved SimRank* kernels' forward sweeps scatter through. It is built once
+// per epoch (and layout) on the first sieved SimRank* read, so an engine
+// serving only exact or RWR queries never pays for it.
 type lazyTranspose struct {
 	once sync.Once
 	t    *sparse.CSR
@@ -226,16 +209,9 @@ func (st *engineState) kernelForward() *sparse.CSR {
 
 func (st *engineState) kernelBackwardT() *sparse.CSR {
 	if st.layout != nil {
-		return st.layout.tr.backward.of(st.layout.backward)
+		return st.layout.qt.of(st.layout.backward)
 	}
-	return st.tr.backward.of(st.backward)
-}
-
-func (st *engineState) kernelForwardT() *sparse.CSR {
-	if st.layout != nil {
-		return st.layout.tr.forward.of(st.layout.forward)
-	}
-	return st.tr.forward.of(st.forward)
+	return st.qt.of(st.backward)
 }
 
 // layoutKey is the layout generation for result-cache keys: 0 without
@@ -295,26 +271,6 @@ func (st *engineState) getWS() *sparse.Workspace {
 }
 
 func (st *engineState) putWS(ws *sparse.Workspace) { st.pools.workspaces.Put(ws) }
-
-// getSweeper borrows a sweep-parallelism worker pool; putSweeper returns it.
-func (st *engineState) getSweeper() *sparse.Sweeper   { return st.pools.sweepers.Get().(*sparse.Sweeper) }
-func (st *engineState) putSweeper(sw *sparse.Sweeper) { st.pools.sweepers.Put(sw) }
-
-// sweeperFor borrows a sweeper configured to cfg's WithParallelSweeps
-// setting, or nil when the query should run its sweeps serially (the
-// default). A non-nil return is owned by the calling query until it is
-// handed back with putSweeper — the single-borrower rule the kernels'
-// Options document.
-func (st *engineState) sweeperFor(cfg config) *sparse.Sweeper {
-	w := cfg.sweepWorkers()
-	if w <= 1 {
-		return nil
-	}
-	sw := st.getSweeper()
-	sw.Configure(w)
-	//simstar:lint-ignore poolescape configuring accessor: callers own the loan and defer putSweeper on every non-nil return
-	return sw
-}
 
 // compHolder defers the biclique mining of a refreshed epoch until a memo
 // query needs it: mining is the expensive part of preprocessing, and the
@@ -632,11 +588,7 @@ func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, k *ke
 	if k != nil {
 		ws := st.getWS()
 		defer st.putWS(ws)
-		sw := st.sweeperFor(e.cfg)
-		if sw != nil {
-			defer st.putSweeper(sw)
-		}
-		if scores, maxErr, err = k.sieved(ctx, st, e.cfg, st.toInternal(q), sw, kt); err != nil {
+		if scores, maxErr, err = k.sieved(ctx, st, e.cfg, st.toInternal(q), kt); err != nil {
 			return nil, 0, err
 		}
 		st.externalize(scores, ws)

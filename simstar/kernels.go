@@ -28,16 +28,13 @@ import (
 // options.
 type kernelFamily struct {
 	// exact runs the exact WS kernel for the kernel-layout node qi into dst
-	// (length n, kernel order), drawing every intermediate from ws. sw is
-	// the borrowed sweep-parallelism pool or nil; only with one does the row
-	// take the transpose its backward sweeps gather over, a once-per-epoch
-	// build paid only by queries that parallelise. kt (nilable) receives the
-	// kernel detail.
-	exact func(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error
+	// (length n, kernel order), drawing every intermediate from ws. kt
+	// (nilable) receives the kernel detail.
+	exact func(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error
 	// sieved runs the threshold-sieved kernel at cfg's tolerance for the
 	// kernel-layout node qi and returns kernel-order scores plus their
 	// certified MaxError.
-	sieved func(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error)
+	sieved func(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error)
 	// allPairs computes the n×n matrix on the natural-order operators.
 	allPairs func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error)
 }
@@ -80,57 +77,42 @@ var (
 	}
 )
 
-// backwardOptions is cfg's core options for an exact sweep of Q, threaded
-// with the kernel trace and, under a borrowed sweeper, with Qᵀ.
-func (st *engineState) backwardOptions(cfg config, sw *sparse.Sweeper, kt *obs.KernelTrace) core.Options {
+//simstar:noalloc
+func geometricExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
 	opt := cfg.coreOptions()
 	opt.Trace = kt
-	if sw != nil {
-		opt.Parallel = sw
-		opt.Transposed = st.kernelBackwardT()
-	}
-	return opt
+	return core.SingleSourceGeometricWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
 }
 
 //simstar:noalloc
-func geometricExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
-	return core.SingleSourceGeometricWS(ctx, st.kernelBackward(), qi, st.backwardOptions(cfg, sw, kt), ws, dst)
+func exponentialExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
+	opt := cfg.coreOptions()
+	opt.Trace = kt
+	return core.SingleSourceExponentialWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
 }
 
 //simstar:noalloc
-func exponentialExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
-	return core.SingleSourceExponentialWS(ctx, st.kernelBackward(), qi, st.backwardOptions(cfg, sw, kt), ws, dst)
-}
-
-//simstar:noalloc
-func rwrExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, sw *sparse.Sweeper, dst []float64, kt *obs.KernelTrace) error {
+func rwrExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
 	opt := cfg.rwrOptions()
 	opt.Trace = kt
-	if sw != nil {
-		opt.Parallel = sw
-		opt.Transposed = st.kernelForwardT()
-	}
 	return rwr.SingleSourceWS(ctx, st.kernelForward(), qi, opt, ws, dst)
 }
 
-func geometricSieved(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error) {
+func geometricSieved(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error) {
 	opt := cfg.coreOptions()
 	opt.Trace = kt
-	opt.Parallel = sw
 	return core.ApproxSingleSourceGeometricFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, cfg.tolerance, opt)
 }
 
-func exponentialSieved(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error) {
+func exponentialSieved(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error) {
 	opt := cfg.coreOptions()
 	opt.Trace = kt
-	opt.Parallel = sw
 	return core.ApproxSingleSourceExponentialFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, cfg.tolerance, opt)
 }
 
-func rwrSieved(ctx context.Context, st *engineState, cfg config, qi int, sw *sparse.Sweeper, kt *obs.KernelTrace) ([]float64, float64, error) {
+func rwrSieved(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error) {
 	opt := cfg.rwrOptions()
 	opt.Trace = kt
-	opt.Parallel = sw
 	return rwr.ApproxSingleSourceFromTransition(ctx, st.kernelForward(), qi, cfg.tolerance, opt)
 }
 
@@ -150,23 +132,18 @@ func kernelsFor(measureName string) *kernelFamily {
 }
 
 // runExact is the shared work of every exact fast-path query — single,
-// Into, streamed and batched alike. It borrows a pooled workspace and,
-// under WithParallelSweeps, a sweeper; fires the fault hook; runs row k's
-// exact kernel for the external node q into dst (length n); and rearranges
-// dst into external id order. kt, when non-nil, receives the kernel detail
-// for a trace; otherwise, with an observer attached, the trace is borrowed
-// from the workspace (&ws.Trace is a borrow, not an allocation), so the
-// zero-alloc contract holds with observation on or off. The observer, if
-// any, records the run here.
+// Into, streamed and batched alike. It borrows a pooled workspace; fires
+// the fault hook; runs row k's exact kernel for the external node q into dst
+// (length n); and rearranges dst into external id order. kt, when non-nil,
+// receives the kernel detail for a trace; otherwise, with an observer
+// attached, the trace is borrowed from the workspace (&ws.Trace is a
+// borrow, not an allocation), so the zero-alloc contract holds with
+// observation on or off. The observer, if any, records the run here.
 //
 //simstar:noalloc
 func (e *Engine) runExact(ctx context.Context, st *engineState, k *kernelFamily, q int, dst []float64, kt *obs.KernelTrace) error {
 	ws := st.getWS()
 	defer st.putWS(ws)
-	sw := st.sweeperFor(e.cfg)
-	if sw != nil {
-		defer st.putSweeper(sw)
-	}
 	o := e.cfg.observer
 	if kt == nil && o != nil {
 		kt = &ws.Trace
@@ -175,7 +152,7 @@ func (e *Engine) runExact(ctx context.Context, st *engineState, k *kernelFamily,
 	grew := ws.Grows()
 	start := time.Now()
 	e.cfg.fireFault(FaultPointKernel)
-	if err := k.exact(ctx, st, e.cfg, st.toInternal(q), ws, sw, dst, kt); err != nil {
+	if err := k.exact(ctx, st, e.cfg, st.toInternal(q), ws, dst, kt); err != nil {
 		return err
 	}
 	if kt != nil {

@@ -34,7 +34,6 @@ type Observer struct {
 	cacheMisses *obs.Counter
 
 	sweeps     *obs.Counter
-	parSweeps  *obs.Counter
 	sieveSpend *obs.FloatCounter
 	poolMisses *obs.Counter
 
@@ -52,10 +51,9 @@ type Observer struct {
 //	simstar_cache_hits_total               counter   result-cache hits
 //	simstar_cache_misses_total             counter   result-cache misses
 //	simstar_kernel_sweeps_total            counter   kernel matrix sweeps
-//	simstar_parallel_sweeps_total          counter   sweeps fanned out across workers
 //	simstar_sieve_spend_total              counter   certified sieve error mass
 //	simstar_workspace_pool_misses_total    counter   pool-miss workspace builds
-//	simstar_deadline_exceeded_total        counter   queries aborted by their deadline
+//	simstar_deadline_exceeded_total        counter   queries failed by an expired deadline
 //	simstar_kernel_seconds                 histogram kernel wall time per query
 //	simstar_cancel_latency_seconds         histogram overrun past an expired deadline
 //
@@ -77,14 +75,12 @@ func NewObserver(reg *obs.Registry) *Observer {
 		"Single-source result-cache misses.")
 	o.sweeps = reg.Counter("simstar_kernel_sweeps_total",
 		"Matrix-sweep iterations the single-source kernels ran.")
-	o.parSweeps = reg.Counter("simstar_parallel_sweeps_total",
-		"Kernel sweeps row-range partitioned across the WithParallelSweeps worker pool.")
 	o.sieveSpend = reg.FloatCounter("simstar_sieve_spend_total",
 		"Certified error mass the approximate kernels' sieves dropped.")
 	o.poolMisses = reg.Counter("simstar_workspace_pool_misses_total",
 		"Kernel workspaces allocated because the per-epoch pool had none to reuse.")
 	o.deadlineExceeded = reg.Counter("simstar_deadline_exceeded_total",
-		"Queries aborted because their deadline budget expired mid-run (WithDeadline or a caller deadline).")
+		"Single-source queries that failed with context.DeadlineExceeded because their deadline (WithDeadline or a caller deadline) expired before or during the run, counted once per distinct query of a batch.")
 	o.kernelSeconds = reg.Histogram("simstar_kernel_seconds",
 		"Kernel wall time per uncached single-source query, in seconds.",
 		obs.LatencyBuckets)
@@ -106,9 +102,6 @@ func (o *Observer) recordKernel(kt *obs.KernelTrace, d time.Duration) {
 	if kt != nil {
 		if kt.Sweeps > 0 {
 			o.sweeps.Add(uint64(kt.Sweeps))
-		}
-		if kt.ParSweeps > 0 {
-			o.parSweeps.Add(uint64(kt.ParSweeps))
 		}
 		if kt.SieveSpend > 0 {
 			o.sieveSpend.Add(kt.SieveSpend)

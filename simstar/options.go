@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/biclique"
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/prank"
 	"repro/internal/rwr"
 	"repro/internal/simrank"
@@ -35,15 +34,14 @@ type config struct {
 	// they return, and are therefore excluded from result-cache keys
 	// (see (config).cacheParams). The graph *content* a query sees is
 	// versioned separately, by the epoch field of the cache key.
-	workers        int
-	parallelSweeps int
-	cacheSize      int
-	epochInterval  int
-	baseEpoch      uint64
-	relabel        RelabelMode
-	observer       *Observer
-	deadline       time.Duration
-	fault          *faultHook
+	workers       int
+	cacheSize     int
+	epochInterval int
+	baseEpoch     uint64
+	relabel       RelabelMode
+	observer      *Observer
+	deadline      time.Duration
+	fault         *faultHook
 }
 
 // cacheParams strips the serving knobs so that two configs computing the
@@ -58,13 +56,9 @@ type config struct {
 // listed must ride into the cache key untouched. Add a field to the list
 // only if it can never change what a query returns.
 //
-//simstar:cachekey-exempt workers parallelSweeps cacheSize epochInterval baseEpoch relabel observer deadline fault
+//simstar:cachekey-exempt workers cacheSize epochInterval baseEpoch relabel observer deadline fault
 func (cfg config) cacheParams() config {
 	cfg.workers = 0
-	// Intra-query sweep parallelism is row-range partitioned with per-element
-	// accumulation order preserved, so results are bitwise-identical at every
-	// worker count — a serving knob.
-	cfg.parallelSweeps = 0
 	cfg.cacheSize = 0
 	cfg.epochInterval = 0
 	cfg.baseEpoch = 0
@@ -195,35 +189,6 @@ func WithDelta(d float64) Option { return func(cfg *config) { cfg.delta = d } }
 // (MultiSource, BatchTopK). 0, the default, means one worker per CPU.
 // Only the Engine reads it; it never changes what a query returns.
 func WithWorkers(n int) Option { return func(cfg *config) { cfg.workers = n } }
-
-// WithParallelSweeps sets the intra-query parallelism of the sparse sweep
-// kernels: each sweep of a single-source, top-k or batch query is row-range
-// partitioned across n workers drawn from a persistent per-engine pool. The
-// partition preserves per-element accumulation order, so scores — and
-// tolerance certificates — are bitwise-identical at every worker count
-// (conformance-tested for every measure); like WithWorkers it never changes
-// what a query returns and is excluded from result-cache keys.
-//
-// 0 (the default) and 1 serve each query on its calling goroutine; n > 1
-// uses exactly n workers for every sweep, batch queries included (on top of
-// the batch's own WithWorkers fan-out across queries); a negative n uses
-// one worker per CPU. The zero-alloc discipline of the pooled serving paths
-// survives fan-out: workers are reused across queries, and a warmed engine
-// adds no per-query allocations at any setting.
-func WithParallelSweeps(n int) Option { return func(cfg *config) { cfg.parallelSweeps = n } }
-
-// sweepWorkers resolves WithParallelSweeps to an effective worker count;
-// 1 means serial (no Sweeper is borrowed).
-func (cfg config) sweepWorkers() int {
-	switch {
-	case cfg.parallelSweeps < 0:
-		return par.Workers()
-	case cfg.parallelSweeps <= 1:
-		return 1
-	default:
-		return cfg.parallelSweeps
-	}
-}
 
 // WithCacheSize sets the capacity, in entries, of the Engine's single-source
 // result cache. 0, the default, means DefaultCacheSize; a negative value

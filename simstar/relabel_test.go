@@ -175,9 +175,7 @@ func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {
 
 // The exact fast-path serving loop must be allocation-free once warmed:
 // pooled kernel workspaces, caller-owned result buffer, no result cache —
-// in natural order, relabelled, and under parallel sweeps, where the
-// borrowed sweeper's persistent workers absorb the fan-out. Two sweep
-// workers, not one per CPU, so the sweeper fans out on a 1-CPU host too.
+// in natural order and relabelled.
 func TestSingleSourceIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts are not meaningful")
@@ -185,9 +183,8 @@ func TestSingleSourceIntoZeroAlloc(t *testing.T) {
 	g := dataset.RMATDefault(9, 4, 13) // 512 nodes
 	ctx := context.Background()
 	for name, opts := range map[string][]simstar.Option{
-		"natural":  {simstar.WithCacheSize(-1)},
-		"degree":   {simstar.WithCacheSize(-1), simstar.WithRelabeling(simstar.RelabelDegree)},
-		"parallel": {simstar.WithCacheSize(-1), simstar.WithParallelSweeps(2)},
+		"natural": {simstar.WithCacheSize(-1)},
+		"degree":  {simstar.WithCacheSize(-1), simstar.WithRelabeling(simstar.RelabelDegree)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := simstar.NewEngine(g, opts...)

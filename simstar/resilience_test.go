@@ -76,6 +76,69 @@ func TestWithDeadlineAbortsSlowQuery(t *testing.T) {
 	}
 }
 
+// A caller deadline that has already passed must be counted once per
+// distinct query on every query entry point, before any kernel runs. A
+// batch duplicate shares its representative's count.
+func TestExpiredDeadlineCountedOnEveryEntryPoint(t *testing.T) {
+	g := toyGraph(t)
+	batch := []simstar.Query{
+		{Measure: simstar.MeasureGeometric, Node: 1, K: 3},
+		{Measure: simstar.MeasureGeometric, Node: 1, K: 3},
+		{Measure: simstar.MeasureRWR, Node: 2, K: 3},
+	}
+	// batchErr returns the first result's error, or a distinct error when
+	// any result succeeded.
+	batchErr := func(res []simstar.Result) error {
+		for _, r := range res {
+			if r.Err == nil {
+				return errors.New("a batch result succeeded past an expired deadline")
+			}
+		}
+		return res[0].Err
+	}
+	for _, tc := range []struct {
+		name  string
+		query func(ctx context.Context, eng *simstar.Engine) error
+		want  float64
+	}{
+		{"SingleSource", func(ctx context.Context, eng *simstar.Engine) error {
+			_, err := eng.SingleSource(ctx, simstar.MeasureGeometric, 1)
+			return err
+		}, 1},
+		{"SingleSourceInto", func(ctx context.Context, eng *simstar.Engine) error {
+			_, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, 1, nil)
+			return err
+		}, 1},
+		{"TopKStream", func(ctx context.Context, eng *simstar.Engine) error {
+			_, err := eng.TopKStream(ctx, simstar.MeasureGeometric, 1, 3)
+			return err
+		}, 1},
+		{"TopKStream-sieved", func(ctx context.Context, eng *simstar.Engine) error {
+			_, err := eng.With(simstar.WithTolerance(1e-3)).TopKStream(ctx, simstar.MeasureGeometric, 1, 3)
+			return err
+		}, 1},
+		{"BatchTopK", func(ctx context.Context, eng *simstar.Engine) error {
+			return batchErr(eng.BatchTopK(ctx, batch))
+		}, 2},
+		{"MultiSource", func(ctx context.Context, eng *simstar.Engine) error {
+			return batchErr(eng.MultiSource(ctx, batch))
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := simstar.NewObserver(nil)
+			eng := simstar.NewEngine(g, simstar.WithObserver(o))
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+			defer cancel()
+			if err := tc.query(ctx, eng); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("got %v, want context.DeadlineExceeded", err)
+			}
+			if got := o.Registry().Snapshot()["simstar_deadline_exceeded_total"]; got != tc.want {
+				t.Fatalf("simstar_deadline_exceeded_total = %g, want %g", got, tc.want)
+			}
+		})
+	}
+}
+
 // A generous deadline must not change what a query returns.
 func TestWithDeadlineHarmless(t *testing.T) {
 	g := toyGraph(t)

@@ -93,6 +93,7 @@ func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, e
 		o.qStream.Inc()
 	}
 	if err := st.checkQuery(ctx, q); err != nil {
+		o.observeCancel(ctx, err)
 		return nil, err
 	}
 	kern := kernelsFor(measureName)
