@@ -85,8 +85,8 @@ func (t *KernelTrace) AddSieveSpend(spent float64) {
 type Trace struct {
 	// Measure is the canonical measure name the query resolved to.
 	Measure string `json:"measure"`
-	// Node is the query node (external id); -1 for request-level traces
-	// that cover many nodes (batch).
+	// Node is the query node; -1 for request-level traces that cover many
+	// nodes (batch).
 	Node int `json:"node"`
 	// K is the ranking size for top-k queries, 0 otherwise.
 	K int `json:"k,omitempty"`
@@ -94,9 +94,6 @@ type Trace struct {
 	Queries int `json:"queries,omitempty"`
 	// Epoch is the graph version the query was answered against.
 	Epoch uint64 `json:"epoch"`
-	// Layout names the relabeling layout in effect ("degree");
-	// empty in natural order.
-	Layout string `json:"layout,omitempty"`
 	// Cached reports whether the result came from the result cache.
 	Cached bool `json:"cached"`
 	// Plan records the execution route a single query took — "cache",

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/dense"
 	"repro/internal/graph"
 )
@@ -187,5 +188,58 @@ func BenchmarkMulDense(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.MulDense(x)
+	}
+}
+
+func TestAtBinarySearch(t *testing.T) {
+	g := dataset.RMATDefault(6, 5, 3) // 64 nodes
+	m := Adjacency(g)
+	d := m.ToDense()
+	for i := 0; i < m.R; i++ {
+		for j := 0; j < m.C; j++ {
+			if got, want := m.At(i, j), d.At(i, j); got != want {
+				t.Fatalf("At(%d,%d) = %g, want %g", i, j, got, want)
+			}
+		}
+	}
+	// Boundary probes around a long row's first and last entries.
+	for i := 0; i < m.R; i++ {
+		cols, _ := m.RowView(i)
+		if len(cols) == 0 {
+			continue
+		}
+		if m.At(i, int(cols[0])) != 1 || m.At(i, int(cols[len(cols)-1])) != 1 {
+			t.Fatalf("row %d: endpoint lookup failed", i)
+		}
+	}
+}
+
+func TestWorkspaceReuse(t *testing.T) {
+	ws := NewWorkspace(8)
+	a := ws.Take()
+	a[3] = 42
+	b := ws.Raw()
+	b[0] = 7
+	if ws.Dim() != 8 || len(a) != 8 || len(b) != 8 {
+		t.Fatalf("bad dimensions")
+	}
+	ws.Reset()
+	a2 := ws.Take()
+	if &a2[0] != &a[0] {
+		t.Fatalf("Take after Reset did not reuse the first buffer")
+	}
+	if a2[3] != 0 {
+		t.Fatalf("Take returned a dirty buffer: %v", a2)
+	}
+	vecs := ws.TakeVecs(3)
+	if len(vecs) != 3 {
+		t.Fatalf("TakeVecs returned %d buffers", len(vecs))
+	}
+	for _, v := range vecs {
+		for _, x := range v {
+			if x != 0 {
+				t.Fatalf("TakeVecs returned a dirty buffer")
+			}
+		}
 	}
 }

@@ -13,8 +13,7 @@ import (
 // deg mostly-local neighbours (the community structure of social and citation
 // graphs), and the node ids are then scrambled by a fixed random permutation,
 // so the locality is real but invisible in the arrival order — the regime a
-// crawl ordered by URL hash or insertion time produces, and the one
-// WithRelabeling exists to fix.
+// crawl ordered by URL hash or insertion time produces.
 func engineBenchGraph(n, deg int) *simstar.Graph {
 	rng := rand.New(rand.NewSource(271828))
 	shuf := rng.Perm(n)
@@ -40,12 +39,11 @@ var benchMiner = simstar.WithMiner(simstar.MinerOptions{
 // BenchmarkEngineSingleSource100k is the headline serving-path number: exact
 // single-source SimRank* through the engine on a 100k-node degree-3 graph,
 // result cache disabled so every iteration pays the kernel. The sub-benchmarks
-// compare the natural (scrambled) layout against WithRelabeling, and run the
-// pooled zero-allocation SingleSourceInto loop bare and with a live Observer
-// (the instrumentation overhead). Every "-into" variant must report
-// 0 allocs/op:
+// run SingleSource for SimRank* and RWR, and the pooled zero-allocation
+// SingleSourceInto loop bare and with a live Observer (the instrumentation
+// overhead). Every "-into" variant must report 0 allocs/op:
 //
-//	go test ./simstar -run '^$' -bench 'EngineSingleSource100k/exact-degree-into' -benchmem -benchtime 50x
+//	go test ./simstar -run '^$' -bench 'EngineSingleSource100k/exact-into' -benchmem -benchtime 50x
 func BenchmarkEngineSingleSource100k(b *testing.B) {
 	g := engineBenchGraph(100_000, 3)
 	ctx := context.Background()
@@ -77,20 +75,16 @@ func BenchmarkEngineSingleSource100k(b *testing.B) {
 			}
 		}
 	}
-	degree := simstar.WithRelabeling(simstar.RelabelDegree)
 	b.Run("exact", func(b *testing.B) {
 		single(b, engine(), simstar.MeasureGeometric)
 	})
-	b.Run("exact-degree", func(b *testing.B) {
-		single(b, engine(degree), simstar.MeasureGeometric)
+	b.Run("exact-into", func(b *testing.B) {
+		into(b, engine())
 	})
-	b.Run("exact-degree-into", func(b *testing.B) {
-		into(b, engine(degree))
+	b.Run("exact-into-observed", func(b *testing.B) {
+		into(b, engine(simstar.WithObserver(simstar.NewObserver(nil))))
 	})
-	b.Run("exact-degree-into-observed", func(b *testing.B) {
-		into(b, engine(degree, simstar.WithObserver(simstar.NewObserver(nil))))
-	})
-	b.Run("exact-rwr-degree", func(b *testing.B) {
-		single(b, engine(degree), simstar.MeasureRWR)
+	b.Run("exact-rwr", func(b *testing.B) {
+		single(b, engine(), simstar.MeasureRWR)
 	})
 }

@@ -27,15 +27,8 @@ type cacheKey struct {
 	measure string
 	gen     uint64
 	epoch   uint64
-	// layout is the generation of the engine state's node relabeling (0
-	// without WithRelabeling). Cached vectors are stored in external id
-	// order, so entries are layout-independent in principle; versioning the
-	// key on the layout instance is defence in depth — a rederived
-	// permutation can never be paired with a vector produced under an
-	// earlier one.
-	layout uint64
-	params config
-	node   int
+	params  config
+	node    int
 }
 
 // cacheEntry is what the LRU list holds. maxErr is the MaxError certificate

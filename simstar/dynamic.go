@@ -139,12 +139,6 @@ func (e *Engine) finishEdits(res dyngraph.Result) EditStats {
 		t0 := time.Now()
 		ns.backward = sparse.UpdateBackwardTransition(old.backward, g, res.Delta.DirtyIn)
 		ns.forward = sparse.UpdateForwardTransition(old.forward, g, res.Delta.DirtyOut)
-		// Re-derive the cache-conscious layout for the mutated graph: the
-		// incremental splice above works in natural order, and the permuted
-		// operators are rebuilt from it. The old state's mode (not the
-		// calling engine's config) carries forward, so engines derived
-		// through With can never flip a shared state's layout.
-		ns.layout = newLayoutState(old.layoutMode(), g, ns.backward, ns.forward)
 		ns.transitionTime = time.Since(t0)
 		// Mining is the expensive half of preprocessing; defer it so the
 		// update path stays fast and non-memo queries never pay it. The old

@@ -108,7 +108,10 @@ func TestApplyEditsBitwiseConformance(t *testing.T) {
 		}
 	}
 	// Cache off, so every answer compared below comes from a kernel run.
-	opts := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1)}
+	// WithRank(6) bounds mtx-simrank's r²×r² solve, which is O(r⁶) in the
+	// retained rank and would otherwise run at the mutated 42-node graph's
+	// full rank; no other measure reads it.
+	opts := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1), simstar.WithRank(6)}
 	eng := simstar.NewEngine(simstar.GraphFromEdges(n, dedup), opts...)
 	pooledAnswers(t, eng, 7)
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/biclique"
 	"repro/internal/dyngraph"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -80,13 +79,6 @@ type engineState struct {
 	comp     *compHolder   // edge-concentration compression, possibly lazy
 	qt       lazyTranspose // Qᵀ for the sieved SimRank* kernels, built on first use
 
-	// layout is the cache-conscious relabeling of this epoch, nil without
-	// WithRelabeling. The natural-order matrices above always exist — the
-	// incremental refresh splices them, and all-pairs queries run on them —
-	// while the single-source and batch fast paths run on layout's permuted
-	// copies.
-	layout *layoutState
-
 	// pools is the per-query scratch the fast paths borrow. It is a separate
 	// allocation, never embedded: the runtime's list of used pools holds
 	// each pool until the second GC after its last use, and a pool inside
@@ -101,8 +93,8 @@ type engineState struct {
 }
 
 // newEngineState assembles the shell of an epoch state around its scratch
-// pools: the transition matrices, compression and layout are filled in by
-// the caller.
+// pools: the transition matrices and compression are filled in by the
+// caller.
 func newEngineState(g *Graph, epoch uint64, pools *scratchPools) *engineState {
 	return &engineState{g: g, epoch: epoch, pools: pools}
 }
@@ -139,45 +131,10 @@ func newScratchPools(n int, o *Observer) *scratchPools {
 	return p
 }
 
-// layoutGen numbers every layout ever derived, so result-cache keys can
-// version on the layout instance (see cacheKey).
-var layoutGen atomic.Uint64
-
-// layoutState is one epoch's node relabeling: the permutation (and its
-// inverse) plus the permuted operators the fast-path kernels sweep. It is
-// immutable after construction.
-type layoutState struct {
-	gen  uint64  // unique per derived layout; 0 means "no relabeling"
-	perm []int32 // perm[external] = internal; both translation directions
-	// gather through perm (see toInternal/externalize), so the inverse is
-	// never materialised here.
-
-	backward *sparse.CSR   // P·Q·Pᵀ
-	forward  *sparse.CSR   // P·W·Pᵀ
-	qt       lazyTranspose // (P·Q·Pᵀ)ᵀ, built on first use
-}
-
-// newLayoutState derives the degree order of g under RelabelDegree and
-// permutes the already-built natural-order transitions. Any other mode
-// serves the natural order, so an unknown mode degrades to no relabeling
-// rather than failing the engine build.
-func newLayoutState(mode RelabelMode, g *Graph, backward, forward *sparse.CSR) *layoutState {
-	if mode != RelabelDegree {
-		return nil
-	}
-	perm := graph.DegreeOrder(g)
-	return &layoutState{
-		gen:      layoutGen.Add(1),
-		perm:     perm,
-		backward: sparse.Permute(backward, perm),
-		forward:  sparse.Permute(forward, perm),
-	}
-}
-
 // lazyTranspose is the transpose Qᵀ of a backward operator, which the
 // sieved SimRank* kernels' forward sweeps scatter through. It is built once
-// per epoch (and layout) on the first sieved SimRank* read, so an engine
-// serving only exact or RWR queries never pays for it.
+// per epoch on the first sieved SimRank* read, so an engine serving only
+// exact or RWR queries never pays for it.
 type lazyTranspose struct {
 	once sync.Once
 	t    *sparse.CSR
@@ -187,82 +144,6 @@ type lazyTranspose struct {
 func (lt *lazyTranspose) of(m *sparse.CSR) *sparse.CSR {
 	lt.once.Do(func() { lt.t = m.Transpose() })
 	return lt.t
-}
-
-// The kernel* accessors return the operators the single-source and batch
-// fast paths should sweep: the relabelled copies when a layout exists, the
-// natural order otherwise.
-
-func (st *engineState) kernelBackward() *sparse.CSR {
-	if st.layout != nil {
-		return st.layout.backward
-	}
-	return st.backward
-}
-
-func (st *engineState) kernelForward() *sparse.CSR {
-	if st.layout != nil {
-		return st.layout.forward
-	}
-	return st.forward
-}
-
-func (st *engineState) kernelBackwardT() *sparse.CSR {
-	if st.layout != nil {
-		return st.layout.qt.of(st.layout.backward)
-	}
-	return st.qt.of(st.backward)
-}
-
-// layoutKey is the layout generation for result-cache keys: 0 without
-// relabeling.
-func (st *engineState) layoutKey() uint64 {
-	if st.layout == nil {
-		return 0
-	}
-	return st.layout.gen
-}
-
-// layoutMode reports the relabeling this state serves, so a refresh can
-// re-derive the same mode for the next epoch.
-func (st *engineState) layoutMode() RelabelMode {
-	if st.layout == nil {
-		return RelabelNone
-	}
-	return RelabelDegree
-}
-
-// layoutName names the state's relabeling for traces; empty in natural
-// order, so the trace field omits cleanly.
-func (st *engineState) layoutName() string {
-	if st.layout == nil {
-		return ""
-	}
-	return "degree"
-}
-
-// toInternal translates an external (graph) node id into the kernel layout.
-func (st *engineState) toInternal(q int) int {
-	if st.layout == nil {
-		return q
-	}
-	return int(st.layout.perm[q])
-}
-
-// externalize rearranges a kernel-layout score vector into external id
-// order in place, staging through one workspace buffer. A no-op without a
-// layout.
-func (st *engineState) externalize(scores []float64, ws *sparse.Workspace) {
-	if st.layout == nil {
-		return
-	}
-	ws.Reset()
-	tmp := ws.Raw()
-	copy(tmp, scores)
-	perm := st.layout.perm
-	for e := range scores {
-		scores[e] = tmp[perm[e]]
-	}
 }
 
 // getWS borrows a kernel workspace from the state's pools; putWS returns it.
@@ -344,9 +225,7 @@ type EngineStats struct {
 // NewEngine builds the per-graph caches and returns a query engine. The
 // options become the engine's defaults for every query it serves. The base
 // epoch's compression is mined eagerly, so the engine is fully warmed for
-// every measure before the first query. Under WithRelabeling the
-// cache-conscious permutation and the permuted operators are also derived
-// here, as part of the amortised preprocessing.
+// every measure before the first query.
 func NewEngine(g *Graph, opts ...Option) *Engine {
 	e := &Engine{cfg: buildConfig(opts), opts: opts}
 	e.cache = newResultCache(e.cfg.cacheSize)
@@ -359,7 +238,6 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 	t0 := time.Now()
 	st.backward = sparse.BackwardTransition(g)
 	st.forward = sparse.ForwardTransition(g)
-	st.layout = newLayoutState(e.cfg.relabel, g, st.backward, st.forward)
 	st.transitionTime = time.Since(t0)
 	st.comp = newCompHolder(g, e.cfg.miner.internal(), nil)
 	st.comp.get()
@@ -451,7 +329,6 @@ func (e *Engine) resultKey(st *engineState, measureName string, q int) cacheKey 
 		measure: canonical(measureName),
 		gen:     registryGeneration(),
 		epoch:   st.epoch,
-		layout:  st.layoutKey(),
 		params:  e.cfg.cacheParams(),
 		node:    q,
 	}
@@ -517,7 +394,6 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 		tr.Measure = key.measure
 		tr.Node = q
 		tr.Epoch = st.epoch
-		tr.Layout = st.layoutName()
 		tr.AddSpan("plan", time.Since(t0))
 		t0 = time.Now()
 	}
@@ -561,13 +437,11 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 // computeSingleSource is the kernel step of the allocating single-source
 // read path, behind the panic isolation boundary. A measure with a kernel
 // row k runs its exact kernel through runExact, or its sieved kernel under
-// an effective WithTolerance, on the cached (and, under WithRelabeling,
-// permuted) transition matrices; any other measure runs its own
-// implementation. The second return is the MaxError certificate (0 on
-// every exact path), and the scores come back in external id order
-// regardless of layout. kt, when non-nil, receives the kernel detail of the
-// fast paths (other measures report nothing — their kernels are opaque to
-// the engine).
+// an effective WithTolerance, on the cached transition matrices; any other
+// measure runs its own implementation. The second return is the MaxError
+// certificate (0 on every exact path). kt, when non-nil, receives the
+// kernel detail of the fast paths (other measures report nothing — their
+// kernels are opaque to the engine).
 func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, k *kernelFamily, measureName string, q int, kt *obs.KernelTrace) (scores []float64, maxErr float64, err error) {
 	defer e.recoverKernel(&err)
 	if k != nil && e.cfg.tolerance < MinTolerance {
@@ -586,12 +460,9 @@ func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, k *ke
 	start := time.Now()
 	e.cfg.fireFault(FaultPointKernel)
 	if k != nil {
-		ws := st.getWS()
-		defer st.putWS(ws)
-		if scores, maxErr, err = k.sieved(ctx, st, e.cfg, st.toInternal(q), kt); err != nil {
+		if scores, maxErr, err = k.sieved(ctx, st, e.cfg, q, kt); err != nil {
 			return nil, 0, err
 		}
-		st.externalize(scores, ws)
 	} else {
 		m, err := Lookup(measureName, e.opts...)
 		if err != nil {
@@ -676,15 +547,19 @@ func (e *Engine) TopK(ctx context.Context, measureName string, q, k int, exclude
 // AllPairs computes the full similarity matrix under the named measure. A
 // measure in the engine's kernel table reuses the current epoch's cached
 // transition matrices (the memo variants its compression); any other
-// measure runs its registered implementation on the epoch's graph. All-pairs
-// runs always sweep the natural-order matrices — the n×n result is produced
-// directly in graph ids, so WithRelabeling neither helps nor requires
-// translation here.
+// measure runs its registered implementation on the epoch's graph.
 func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, err error) {
+	o := e.cfg.observer
+	if o != nil {
+		o.qAllPairs.Inc()
+	}
 	ctx, cancel := e.cfg.deadlineCtx(ctx)
 	if cancel != nil {
 		defer cancel()
 	}
+	// Deferred before recoverKernel, so it runs after it and sees every
+	// error return, a recovered panic included.
+	defer func() { o.observeCancel(ctx, err) }()
 	defer e.recoverKernel(&err)
 	if err := ctx.Err(); err != nil {
 		return nil, err

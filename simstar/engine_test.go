@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/simstar"
 )
 
@@ -216,4 +217,74 @@ func TestEngineRejectsBadQueries(t *testing.T) {
 	if _, err := eng.AllPairs(ctx, "no-such-measure"); err == nil {
 		t.Fatal("want error for unknown measure")
 	}
+}
+
+// SingleSourceInto must agree exactly with SingleSource and reuse the
+// caller's buffer.
+func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {
+	g := dataset.RMATDefault(6, 4, 11)
+	ctx := context.Background()
+	eng := simstar.NewEngine(g, simstar.WithK(4))
+	buf := make([]float64, 0, g.N())
+	for _, measure := range []string{
+		simstar.MeasureGeometric, simstar.MeasureExponential, simstar.MeasureRWR,
+		simstar.MeasureSimRank, // no fast path: exercises the fallback copy
+	} {
+		for q := 0; q < g.N(); q += 9 {
+			want, err := eng.SingleSource(ctx, measure, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.SingleSourceInto(ctx, measure, q, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(buf) >= g.N() && &got[0] != &buf[:1][0] {
+				t.Fatalf("SingleSourceInto did not reuse the caller's buffer")
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s q=%d node %d: Into %g vs SingleSource %g", measure, q, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if _, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, -1, buf); err == nil {
+		t.Fatal("out-of-range query not rejected")
+	}
+}
+
+// The exact fast-path serving loop must be allocation-free once warmed:
+// pooled kernel workspaces, caller-owned result buffer, no result cache. The
+// engine serves in natural node order, the one case run.
+func TestSingleSourceIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop items; alloc counts are not meaningful")
+	}
+	g := dataset.RMATDefault(9, 4, 13) // 512 nodes
+	ctx := context.Background()
+	t.Run("natural", func(t *testing.T) {
+		eng := simstar.NewEngine(g, simstar.WithCacheSize(-1))
+		buf := make([]float64, g.N())
+		for _, measure := range []string{simstar.MeasureGeometric, simstar.MeasureExponential, simstar.MeasureRWR} {
+			// Warm the workspace pool before counting.
+			if _, err := eng.SingleSourceInto(ctx, measure, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+			q := 0
+			allocs := testing.AllocsPerRun(50, func() {
+				var err error
+				if _, err = eng.SingleSourceInto(ctx, measure, q%g.N(), buf); err != nil {
+					t.Fatal(err)
+				}
+				q++
+			})
+			// A GC between runs can empty the sync.Pool and force a one-off
+			// re-grow; anything at or above one alloc per run is a real leak
+			// in the steady-state path.
+			if allocs >= 1 {
+				t.Fatalf("%s: %v allocs/op on the pooled path", measure, allocs)
+			}
+		}
+	})
 }

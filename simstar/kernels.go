@@ -27,15 +27,14 @@ import (
 // pinned epoch state and picks its own operator side (Q or W), transpose and
 // options.
 type kernelFamily struct {
-	// exact runs the exact WS kernel for the kernel-layout node qi into dst
-	// (length n, kernel order), drawing every intermediate from ws. kt
-	// (nilable) receives the kernel detail.
-	exact func(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error
-	// sieved runs the threshold-sieved kernel at cfg's tolerance for the
-	// kernel-layout node qi and returns kernel-order scores plus their
-	// certified MaxError.
-	sieved func(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error)
-	// allPairs computes the n×n matrix on the natural-order operators.
+	// exact runs the exact WS kernel for query node q into dst (length n),
+	// drawing every intermediate from ws. kt (nilable) receives the kernel
+	// detail.
+	exact func(ctx context.Context, st *engineState, cfg config, q int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error
+	// sieved runs the threshold-sieved kernel at cfg's tolerance for query
+	// node q and returns the scores plus their certified MaxError.
+	sieved func(ctx context.Context, st *engineState, cfg config, q int, kt *obs.KernelTrace) ([]float64, float64, error)
+	// allPairs computes the n×n matrix.
 	allPairs func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error)
 }
 
@@ -78,42 +77,42 @@ var (
 )
 
 //simstar:noalloc
-func geometricExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
+func geometricExact(ctx context.Context, st *engineState, cfg config, q int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
 	opt := cfg.coreOptions()
 	opt.Trace = kt
-	return core.SingleSourceGeometricWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
+	return core.SingleSourceGeometricWS(ctx, st.backward, q, opt, ws, dst)
 }
 
 //simstar:noalloc
-func exponentialExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
+func exponentialExact(ctx context.Context, st *engineState, cfg config, q int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
 	opt := cfg.coreOptions()
 	opt.Trace = kt
-	return core.SingleSourceExponentialWS(ctx, st.kernelBackward(), qi, opt, ws, dst)
+	return core.SingleSourceExponentialWS(ctx, st.backward, q, opt, ws, dst)
 }
 
 //simstar:noalloc
-func rwrExact(ctx context.Context, st *engineState, cfg config, qi int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
+func rwrExact(ctx context.Context, st *engineState, cfg config, q int, ws *sparse.Workspace, dst []float64, kt *obs.KernelTrace) error {
 	opt := cfg.rwrOptions()
 	opt.Trace = kt
-	return rwr.SingleSourceWS(ctx, st.kernelForward(), qi, opt, ws, dst)
+	return rwr.SingleSourceWS(ctx, st.forward, q, opt, ws, dst)
 }
 
-func geometricSieved(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error) {
+func geometricSieved(ctx context.Context, st *engineState, cfg config, q int, kt *obs.KernelTrace) ([]float64, float64, error) {
 	opt := cfg.coreOptions()
 	opt.Trace = kt
-	return core.ApproxSingleSourceGeometricFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, cfg.tolerance, opt)
+	return core.ApproxSingleSourceGeometricFromTransition(ctx, st.backward, st.qt.of(st.backward), q, cfg.tolerance, opt)
 }
 
-func exponentialSieved(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error) {
+func exponentialSieved(ctx context.Context, st *engineState, cfg config, q int, kt *obs.KernelTrace) ([]float64, float64, error) {
 	opt := cfg.coreOptions()
 	opt.Trace = kt
-	return core.ApproxSingleSourceExponentialFromTransition(ctx, st.kernelBackward(), st.kernelBackwardT(), qi, cfg.tolerance, opt)
+	return core.ApproxSingleSourceExponentialFromTransition(ctx, st.backward, st.qt.of(st.backward), q, cfg.tolerance, opt)
 }
 
-func rwrSieved(ctx context.Context, st *engineState, cfg config, qi int, kt *obs.KernelTrace) ([]float64, float64, error) {
+func rwrSieved(ctx context.Context, st *engineState, cfg config, q int, kt *obs.KernelTrace) ([]float64, float64, error) {
 	opt := cfg.rwrOptions()
 	opt.Trace = kt
-	return rwr.ApproxSingleSourceFromTransition(ctx, st.kernelForward(), qi, cfg.tolerance, opt)
+	return rwr.ApproxSingleSourceFromTransition(ctx, st.forward, q, cfg.tolerance, opt)
 }
 
 // kernelsFor resolves measureName through the registry without
@@ -132,13 +131,13 @@ func kernelsFor(measureName string) *kernelFamily {
 }
 
 // runExact is the shared work of every exact fast-path query — single,
-// Into, streamed and batched alike. It borrows a pooled workspace; fires
-// the fault hook; runs row k's exact kernel for the external node q into dst
-// (length n); and rearranges dst into external id order. kt, when non-nil,
-// receives the kernel detail for a trace; otherwise, with an observer
-// attached, the trace is borrowed from the workspace (&ws.Trace is a
-// borrow, not an allocation), so the zero-alloc contract holds with
-// observation on or off. The observer, if any, records the run here.
+// Into, streamed and batched alike. It borrows a pooled workspace, fires
+// the fault hook and runs row k's exact kernel for node q into dst
+// (length n). kt, when non-nil, receives the kernel detail for a trace;
+// otherwise, with an observer attached, the trace is borrowed from the
+// workspace (&ws.Trace is a borrow, not an allocation), so the zero-alloc
+// contract holds with observation on or off. The observer, if any, records
+// the run here.
 //
 //simstar:noalloc
 func (e *Engine) runExact(ctx context.Context, st *engineState, k *kernelFamily, q int, dst []float64, kt *obs.KernelTrace) error {
@@ -152,13 +151,12 @@ func (e *Engine) runExact(ctx context.Context, st *engineState, k *kernelFamily,
 	grew := ws.Grows()
 	start := time.Now()
 	e.cfg.fireFault(FaultPointKernel)
-	if err := k.exact(ctx, st, e.cfg, st.toInternal(q), ws, dst, kt); err != nil {
+	if err := k.exact(ctx, st, e.cfg, q, ws, dst, kt); err != nil {
 		return err
 	}
 	if kt != nil {
 		kt.WorkspaceGrew = ws.Grows() - grew
 	}
-	st.externalize(dst, ws)
 	if o != nil {
 		o.recordKernel(kt, time.Since(start))
 	}

@@ -26,9 +26,10 @@ import (
 type Observer struct {
 	reg *obs.Registry
 
-	qSingle *obs.Counter
-	qStream *obs.Counter
-	qBatch  *obs.Counter
+	qSingle   *obs.Counter
+	qStream   *obs.Counter
+	qBatch    *obs.Counter
+	qAllPairs *obs.Counter
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
@@ -47,13 +48,13 @@ type Observer struct {
 // (nil means a fresh private registry, read back through Registry). The
 // families:
 //
-//	simstar_queries_total{kind}            counter   queries served, by kind
+//	simstar_queries_total{kind}            counter   queries served, by kind (single_source, stream, batch, all_pairs)
 //	simstar_cache_hits_total               counter   result-cache hits
 //	simstar_cache_misses_total             counter   result-cache misses
 //	simstar_kernel_sweeps_total            counter   kernel matrix sweeps
 //	simstar_sieve_spend_total              counter   certified sieve error mass
 //	simstar_workspace_pool_misses_total    counter   pool-miss workspace builds
-//	simstar_deadline_exceeded_total        counter   queries failed by an expired deadline
+//	simstar_deadline_exceeded_total        counter   queries and all-pairs runs failed by an expired deadline
 //	simstar_kernel_seconds                 histogram kernel wall time per query
 //	simstar_cancel_latency_seconds         histogram overrun past an expired deadline
 //
@@ -65,10 +66,11 @@ func NewObserver(reg *obs.Registry) *Observer {
 	}
 	o := &Observer{reg: reg}
 	const qName = "simstar_queries_total"
-	const qHelp = "Queries served, by kind: single_source covers SingleSource/TopK and their variants, stream covers TopKStream, batch counts every query inside MultiSource/BatchTopK."
+	const qHelp = "Queries served, by kind: single_source covers SingleSource/TopK and their variants, stream covers TopKStream, batch counts every query inside MultiSource/BatchTopK, all_pairs counts AllPairs calls."
 	o.qSingle = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "single_source"})
 	o.qStream = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "stream"})
 	o.qBatch = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "batch"})
+	o.qAllPairs = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "all_pairs"})
 	o.cacheHits = reg.Counter("simstar_cache_hits_total",
 		"Single-source result-cache hits, exact-donor hits included.")
 	o.cacheMisses = reg.Counter("simstar_cache_misses_total",
@@ -80,7 +82,7 @@ func NewObserver(reg *obs.Registry) *Observer {
 	o.poolMisses = reg.Counter("simstar_workspace_pool_misses_total",
 		"Kernel workspaces allocated because the per-epoch pool had none to reuse.")
 	o.deadlineExceeded = reg.Counter("simstar_deadline_exceeded_total",
-		"Single-source queries that failed with context.DeadlineExceeded because their deadline (WithDeadline or a caller deadline) expired before or during the run, counted once per distinct query of a batch.")
+		"Queries that failed with context.DeadlineExceeded because their deadline (WithDeadline or a caller deadline) expired before or during the run, counted once per distinct query of a batch and once per AllPairs call.")
 	o.kernelSeconds = reg.Histogram("simstar_kernel_seconds",
 		"Kernel wall time per uncached single-source query, in seconds.",
 		obs.LatencyBuckets)

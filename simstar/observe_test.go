@@ -58,12 +58,16 @@ func TestObserverCountsQueries(t *testing.T) {
 			t.Fatalf("batch query %d: %v", i, r.Err)
 		}
 	}
+	if _, err := eng.AllPairs(ctx, simstar.MeasureRWR); err != nil {
+		t.Fatal(err)
+	}
 
 	snap := o.Registry().Snapshot()
 	wantCounts := map[string]float64{
 		`simstar_queries_total{kind="single_source"}`: 3, // 2 SingleSource + TopK
 		`simstar_queries_total{kind="stream"}`:        1,
 		`simstar_queries_total{kind="batch"}`:         3,
+		`simstar_queries_total{kind="all_pairs"}`:     1,
 		`simstar_cache_hits_total`:                    1,
 	}
 	for key, want := range wantCounts {
@@ -102,7 +106,7 @@ func TestObserverCountsQueries(t *testing.T) {
 func TestTraceSingleSourceAndTopK(t *testing.T) {
 	g := dataset.RMATDefault(8, 4, 11)
 	ctx := context.Background()
-	eng := simstar.NewEngine(g, simstar.WithRelabeling(simstar.RelabelDegree))
+	eng := simstar.NewEngine(g)
 
 	want, err := eng.SingleSource(ctx, simstar.MeasureGeometric, 9)
 	if err != nil {
@@ -120,9 +124,6 @@ func TestTraceSingleSourceAndTopK(t *testing.T) {
 	}
 	if tr.Measure != simstar.MeasureGeometric || tr.Node != 9 {
 		t.Fatalf("trace identity wrong: %+v", tr)
-	}
-	if tr.Layout != "degree" {
-		t.Fatalf("trace layout = %q, want degree", tr.Layout)
 	}
 	if tr.Cached {
 		t.Fatal("fresh query reported cached")

@@ -38,7 +38,6 @@ type config struct {
 	cacheSize     int
 	epochInterval int
 	baseEpoch     uint64
-	relabel       RelabelMode
 	observer      *Observer
 	deadline      time.Duration
 	fault         *faultHook
@@ -56,7 +55,7 @@ type config struct {
 // listed must ride into the cache key untouched. Add a field to the list
 // only if it can never change what a query returns.
 //
-//simstar:cachekey-exempt workers cacheSize epochInterval baseEpoch relabel observer deadline fault
+//simstar:cachekey-exempt workers cacheSize epochInterval baseEpoch observer deadline fault
 func (cfg config) cacheParams() config {
 	cfg.workers = 0
 	cfg.cacheSize = 0
@@ -66,11 +65,6 @@ func (cfg config) cacheParams() config {
 	// keeps cache keys, and with them batch deduplication, identical with
 	// and without metrics.
 	cfg.observer = nil
-	// Relabeling changes the internal layout, never the translated scores;
-	// cached vectors are stored in external id order, so the mode is a
-	// serving knob here. The layout *instance* is still versioned, by the
-	// cache key's layout generation (see cacheKey).
-	cfg.relabel = RelabelNone
 	// A deadline bounds how long a query may run, never what it returns when
 	// it completes — a query that beat its budget produced the exact same
 	// scores an unbounded run would have.
@@ -142,35 +136,6 @@ const MinTolerance = sparse.MinCertTolerance
 // result-cache key: an approximate entry can only be re-served to requests
 // with the identical tolerance (exact entries satisfy any tolerance).
 func WithTolerance(eps float64) Option { return func(cfg *config) { cfg.tolerance = eps } }
-
-// RelabelMode selects the cache-conscious node relabeling an Engine applies
-// to its preprocessed transition matrices (see WithRelabeling).
-type RelabelMode int
-
-// The relabeling modes.
-const (
-	// RelabelNone serves the matrices in the graph's natural node order.
-	RelabelNone RelabelMode = iota
-	// RelabelDegree numbers nodes by descending total degree, clustering
-	// the hub rows and the hot entries of every iteration vector at the
-	// front of memory.
-	RelabelDegree
-)
-
-// WithRelabeling makes the Engine relabel the nodes of its cached transition
-// matrices for cache locality: the degree order is computed once per graph
-// epoch at preprocessing time, the single-source, top-k and batch fast paths
-// run on the permuted operators, and node ids are translated at the API
-// boundary — queries and results always speak the graph's own ids, and the
-// scores match the unrelabelled engine to within float reassociation noise
-// (≤ 1e-12, tested). All-pairs queries and non-fast-path measures run on the
-// natural order and are unaffected. Modes other than RelabelDegree serve the
-// natural order.
-//
-// Like WithMiner, the mode is structure-shaping and fixed at engine
-// construction: passing it through With or per-query options has no effect.
-// ApplyEdits re-derives the permutation for each materialised epoch.
-func WithRelabeling(mode RelabelMode) Option { return func(cfg *config) { cfg.relabel = mode } }
 
 // WithMiner configures the biclique miner used by the memoized variants and
 // the Engine's cached compression.

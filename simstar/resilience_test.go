@@ -123,6 +123,10 @@ func TestExpiredDeadlineCountedOnEveryEntryPoint(t *testing.T) {
 		{"MultiSource", func(ctx context.Context, eng *simstar.Engine) error {
 			return batchErr(eng.MultiSource(ctx, batch))
 		}, 2},
+		{"AllPairs", func(ctx context.Context, eng *simstar.Engine) error {
+			_, err := eng.AllPairs(ctx, simstar.MeasureGeometric)
+			return err
+		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := simstar.NewObserver(nil)

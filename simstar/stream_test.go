@@ -38,9 +38,9 @@ func rankedSliceEqual(a, b []simstar.Ranked) bool {
 	return true
 }
 
-// The streaming contract: for every registered measure, under exact,
-// tolerance-certified and relabeled configurations, TopKStream yields
-// entries bitwise-identical — order, scores, tie-breaks — to materialized
+// The streaming contract: for every registered measure, under exact and
+// tolerance-certified configurations, TopKStream yields entries
+// bitwise-identical — order, scores, tie-breaks — to materialized
 // Engine.TopK at the same parameters.
 func TestTopKStreamConformanceAllMeasures(t *testing.T) {
 	g := streamGraph(t)
@@ -52,7 +52,6 @@ func TestTopKStreamConformanceAllMeasures(t *testing.T) {
 	}{
 		{"exact", nil},
 		{"tolerance", []simstar.Option{simstar.WithTolerance(1e-3)}},
-		{"relabeled", []simstar.Option{simstar.WithRelabeling(simstar.RelabelDegree)}},
 	}
 	for _, v := range variants {
 		v := v
