@@ -37,9 +37,9 @@ func TestEdgeMutationEndpoints(t *testing.T) {
 		t.Fatal("edge not visible after insert")
 	}
 
-	// DELETE /v1/edges takes it back out.
-	rec = doJSON(t, h, "DELETE", "/v1/edges", map[string]any{
-		"edges": [][2]int{{pre, clB}},
+	// A delete-only batch takes it back out.
+	rec = doJSON(t, h, "POST", "/v1/edges", map[string]any{
+		"delete": [][2]int{{pre, clB}},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("delete: status %d: %s", rec.Code, rec.Body)
@@ -116,9 +116,10 @@ func TestEdgeMutationBadRequests(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400", name, rec.Code)
 		}
 	}
-	rec = doJSON(t, h, "DELETE", "/v1/edges", map[string]any{"edges": [][2]int{}})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty delete: status %d, want 400", rec.Code)
+	// POST is the one mutation route.
+	rec = doJSON(t, h, "DELETE", "/v1/edges", map[string]any{"edges": [][2]int{{0, 1}}})
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("DELETE method on /v1/edges: status %d, want 405", rec.Code)
 	}
 }
 
@@ -229,9 +230,9 @@ func TestConcurrentBatchQueriesRacingMutations(t *testing.T) {
 			if rec.Code != http.StatusOK {
 				t.Fatalf("edit %d: status %d: %s", i, rec.Code, rec.Body)
 			}
-		case 1: // DELETE endpoint
-			rec := doJSON(t, h, "DELETE", "/v1/edges", map[string]any{
-				"edges": [][2]int{{rng.Intn(7), rng.Intn(7)}},
+		case 1: // a delete-only batch
+			rec := doJSON(t, h, "POST", "/v1/edges", map[string]any{
+				"delete": [][2]int{{rng.Intn(7), rng.Intn(7)}},
 			})
 			if rec.Code != http.StatusOK {
 				t.Fatalf("delete %d: status %d: %s", i, rec.Code, rec.Body)

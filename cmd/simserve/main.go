@@ -16,7 +16,6 @@
 //	GET    /v1/stats         engine preprocessing + epoch + result-cache + process stats
 //	POST   /v1/graph         load/replace the graph (JSON edges or text edge list)
 //	POST   /v1/edges         stream edge mutations ({"insert": [[u,v]...], "delete": [[u,v]...]})
-//	DELETE /v1/edges         remove edges ({"edges": [[u,v]...]})
 //	POST   /v1/snapshot      persist the current epoch to the -snapshot path
 //	POST   /v1/query/single  one single-source score vector
 //	POST   /v1/query/topk    one ranked top-k query
@@ -64,7 +63,6 @@ func main() {
 	c := flag.Float64("c", 0, "damping factor for the startup engine (0 = paper default)")
 	k := flag.Int("k", 0, "iteration count for the startup engine (0 = paper default)")
 	cacheSize := flag.Int("cache", 0, "result-cache capacity in entries (0 = default, negative = disabled)")
-	epochEvery := flag.Int("epoch-interval", 0, "edits buffered before materialising a graph epoch (<=1 = every mutation request)")
 	drain := flag.Duration("drain", 10*time.Second, "how long shutdown waits for in-flight requests")
 	drainGrace := flag.Duration("drain-grace", time.Second, "after the drain window, how long force-closed NDJSON streams get to emit their 499 trailer before connections are cut")
 	pprofAddr := flag.String("pprof", "", "optional listen address for net/http/pprof (e.g. localhost:6060); profiling is off when empty")
@@ -123,9 +121,6 @@ func main() {
 		}
 		if *cacheSize != 0 {
 			opts = append(opts, simstar.WithCacheSize(*cacheSize))
-		}
-		if *epochEvery > 1 {
-			opts = append(opts, simstar.WithEpochInterval(*epochEvery))
 		}
 		return opts
 	}

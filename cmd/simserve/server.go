@@ -107,7 +107,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	mux.HandleFunc("POST /v1/graph", s.instrument("graph", s.handleLoadGraph))
 	mux.HandleFunc("POST /v1/edges", s.instrument("edges", s.handleEditEdges))
-	mux.HandleFunc("DELETE /v1/edges", s.instrument("edges_delete", s.handleDeleteEdges))
 	mux.HandleFunc("POST /v1/snapshot", s.instrument("snapshot", s.handleSnapshot))
 	// Only the query routes sit behind the admission gate: control-plane
 	// and mutation endpoints stay reachable on an overloaded server.
@@ -237,7 +236,6 @@ type graphResponse struct {
 	Nodes              int     `json:"nodes"`
 	Edges              int     `json:"edges"`
 	Epoch              uint64  `json:"epoch"`
-	PendingEdits       int     `json:"pending_edits,omitempty"`
 	CompressedEdges    int     `json:"compressed_edges"`
 	ConcentrationNodes int     `json:"concentration_nodes"`
 	CompressionRatio   float64 `json:"compression_ratio"`
@@ -250,7 +248,6 @@ func engineStatsJSON(st simstar.EngineStats) graphResponse {
 		Nodes:              st.Nodes,
 		Edges:              st.Edges,
 		Epoch:              st.Epoch,
-		PendingEdits:       st.PendingEdits,
 		CompressedEdges:    st.CompressedEdges,
 		ConcentrationNodes: st.ConcentrationNodes,
 		CompressionRatio:   st.CompressionRatio,
@@ -476,6 +473,11 @@ func (q *queryJSON) toQuery(g *simstar.Graph) (simstar.Query, error) {
 	}
 	if q.Measure == "" {
 		return simstar.Query{}, errors.New("need measure")
+	}
+	if o := q.Options; o != nil && (o.Workers != nil || o.CacheSize != nil) {
+		// Both are fixed when the engine is built: the cache is shared and
+		// sized once, and a batch fans out with the engine's worker count.
+		return simstar.Query{}, errors.New("options.workers and options.cache_size are engine-wide; set them with POST /v1/graph")
 	}
 	var opts []simstar.Option
 	if q.Tolerance != nil {
@@ -838,23 +840,17 @@ type editsRequest struct {
 	Delete [][2]int `json:"delete,omitempty"`
 }
 
-// deleteEdgesRequest is the wire form of DELETE /v1/edges.
-type deleteEdgesRequest struct {
-	Edges [][2]int `json:"edges"`
-}
-
 // editsResponse reports what an edge-mutation request did: the epoch now
 // served, what actually changed, and the incremental refresh cost.
 type editsResponse struct {
-	Epoch        uint64  `json:"epoch"`
-	Applied      int     `json:"applied"`
-	Inserted     int     `json:"inserted"`
-	Removed      int     `json:"removed"`
-	PendingEdits int     `json:"pending_edits,omitempty"`
-	Refreshed    bool    `json:"refreshed"`
-	RefreshMs    float64 `json:"refresh_ms"`
-	Nodes        int     `json:"nodes"`
-	Edges        int     `json:"edges"`
+	Epoch     uint64  `json:"epoch"`
+	Applied   int     `json:"applied"`
+	Inserted  int     `json:"inserted"`
+	Removed   int     `json:"removed"`
+	Refreshed bool    `json:"refreshed"`
+	RefreshMs float64 `json:"refresh_ms"`
+	Nodes     int     `json:"nodes"`
+	Edges     int     `json:"edges"`
 }
 
 // checkEditEndpoints bounds mutation node ids the same way graph loading
@@ -871,36 +867,11 @@ func checkEditEndpoints(edges [][2]int) error {
 	return nil
 }
 
-// applyEdits funnels both mutation endpoints through the engine's versioned
-// store. The engine pointer is read once; a concurrent POST /v1/graph swap
-// means the edits land on the graph that was being served when the request
-// arrived — the response's epoch and sizes always describe the engine the
-// edits actually went to.
-func (s *server) applyEdits(w http.ResponseWriter, edits []simstar.Edit) {
-	eng := s.requireEngine(w)
-	if eng == nil {
-		return
-	}
-	st, err := eng.ApplyEdits(edits...)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, editsResponse{
-		Epoch:        st.Epoch,
-		Applied:      st.Applied,
-		Inserted:     st.Inserted,
-		Removed:      st.Removed,
-		PendingEdits: st.Pending,
-		Refreshed:    st.Refreshed,
-		RefreshMs:    float64(st.RefreshTime.Microseconds()) / 1e3,
-		Nodes:        st.Nodes,
-		Edges:        st.Edges,
-	})
-}
-
-// handleEditEdges streams a mixed batch of insertions and deletions into the
-// served graph.
+// handleEditEdges applies a mixed batch of insertions and deletions to the
+// served graph. The engine pointer is read once; a concurrent POST
+// /v1/graph swap means the edits land on the graph that was being served
+// when the request arrived — the response's epoch and sizes always describe
+// the engine the edits actually went to.
 func (s *server) handleEditEdges(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
 	var req editsRequest
@@ -927,30 +898,25 @@ func (s *server) handleEditEdges(w http.ResponseWriter, r *http.Request) {
 	for _, e := range req.Delete {
 		edits = append(edits, simstar.DeleteEdge(e[0], e[1]))
 	}
-	s.applyEdits(w, edits)
-}
-
-// handleDeleteEdges removes a batch of edges.
-func (s *server) handleDeleteEdges(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
-	var req deleteEdgesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding delete request: %w", err))
+	eng := s.requireEngine(w)
+	if eng == nil {
 		return
 	}
-	if len(req.Edges) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("need edges"))
-		return
-	}
-	if err := checkEditEndpoints(req.Edges); err != nil {
+	st, err := eng.ApplyEdits(edits...)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	edits := make([]simstar.Edit, 0, len(req.Edges))
-	for _, e := range req.Edges {
-		edits = append(edits, simstar.DeleteEdge(e[0], e[1]))
-	}
-	s.applyEdits(w, edits)
+	writeJSON(w, http.StatusOK, editsResponse{
+		Epoch:     st.Epoch,
+		Applied:   st.Applied,
+		Inserted:  st.Inserted,
+		Removed:   st.Removed,
+		Refreshed: st.Refreshed,
+		RefreshMs: float64(st.RefreshTime.Microseconds()) / 1e3,
+		Nodes:     st.Nodes,
+		Edges:     st.Edges,
+	})
 }
 
 type snapshotResponse struct {

@@ -332,6 +332,53 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// workers and cache_size are fixed when the engine is built, so only POST
+// /v1/graph takes them; a query carrying either is refused, not silently
+// served with the engine's own values.
+func TestEngineWideOptionsOnlyOnGraphLoad(t *testing.T) {
+	_, h := newTestServer(t)
+	rec := doJSON(t, h, "POST", "/v1/graph", map[string]any{
+		"edge_list": testGraphEdgeList,
+		"options":   map[string]any{"cache_size": 8},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("load graph: status %d: %s", rec.Code, rec.Body)
+	}
+	var st statsResponse
+	if err := json.Unmarshal(doJSON(t, h, "GET", "/v1/stats", nil).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Capacity != 8 {
+		t.Fatalf("cache capacity %d, want 8", st.Cache.Capacity)
+	}
+
+	rec = doJSON(t, h, "POST", "/v1/query/topk", map[string]any{
+		"measure": "rwr", "node": 0, "k": 3, "options": map[string]any{"cache_size": 64},
+	})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "POST /v1/graph") {
+		t.Fatalf("topk with cache_size: status %d: %s, want 400 naming POST /v1/graph", rec.Code, rec.Body)
+	}
+	rec = doJSON(t, h, "POST", "/v1/query/batch", map[string]any{
+		"queries": []map[string]any{
+			{"measure": "rwr", "node": 0, "options": map[string]any{"workers": 4}},
+			{"measure": "rwr", "node": 1},
+		},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", rec.Code, rec.Body)
+	}
+	var resp batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.Results[0].Error, "POST /v1/graph") {
+		t.Fatalf("slot with workers: %+v, want an error naming POST /v1/graph", resp.Results[0])
+	}
+	if resp.Results[1].Error != "" || len(resp.Results[1].Scores) == 0 {
+		t.Fatalf("plain slot failed: %+v", resp.Results[1])
+	}
+}
+
 // Loading a new graph swaps the engine: new node space, fresh result cache.
 func TestGraphSwapInvalidatesCache(t *testing.T) {
 	s, h := newTestServer(t)

@@ -1,9 +1,9 @@
 // Package dyngraph is the dynamic-graph subsystem: a versioned store over
-// the immutable CSR graphs the rest of the repository computes on. It
-// accepts streamed edge insertions and removals into an append-only delta
-// log and materialises copy-on-write CSR snapshots at configurable epochs,
-// so readers always query an immutable snapshot while writers never block on
-// queries — the HTAP separation of the update path from the analytical path.
+// the immutable CSR graphs the rest of the repository computes on. Each
+// batch of streamed edge insertions and removals is validated and spliced
+// into a new copy-on-write CSR snapshot, its epoch, so readers always query
+// an immutable snapshot while writers never block on queries — the HTAP
+// separation of the update path from the analytical path.
 //
 // The store is the write side; the read side is whatever holds a Snapshot.
 // Snapshots are plain immutable graphs tagged with an epoch number, fetched
@@ -29,7 +29,7 @@ const (
 	OpDelete
 )
 
-// String returns the delta-log text form of the op ("+" or "-").
+// String returns the mutation-stream text form of the op ("+" or "-").
 func (o Op) String() string {
 	if o == OpDelete {
 		return "-"
@@ -54,35 +54,20 @@ func (e Edit) op() graph.EdgeOp {
 }
 
 // Snapshot is one immutable materialised version of the graph. Epoch starts
-// at the store's base epoch and advances by one per materialisation that
-// changed the graph; edits still pending in the log are not visible in it.
+// at the store's base epoch and advances by one per Apply that changed the
+// graph.
 type Snapshot struct {
 	Graph *graph.Graph
 	Epoch uint64
 }
 
-// LogEntry is one accepted edit in the append-only delta log.
-type LogEntry struct {
-	// Seq is the 1-based position of the edit in the log.
-	Seq uint64
-	// Base is the snapshot epoch the edit was accepted on top of: replaying
-	// every entry with Base >= E onto the epoch-E snapshot reproduces the
-	// current graph plus pending edits.
-	Base uint64
-	Edit Edit
-}
-
-// Result reports what one Apply or Flush call did.
+// Result reports what one Apply call did.
 type Result struct {
 	// Snapshot is the store's current snapshot after the call.
 	Snapshot Snapshot
-	// Applied is the number of edits this call accepted into the log.
-	Applied int
-	// Pending is the number of logged edits not yet materialised.
-	Pending int
 	// Materialized reports whether this call spliced a new snapshot. False
-	// when the edits are still pending, and also when materialisation found
-	// the batch to be a structural no-op (the epoch does not advance then).
+	// when the batch was a structural no-op (the epoch does not advance
+	// then).
 	Materialized bool
 	// Delta describes the splice when Materialized; nil otherwise.
 	Delta *graph.EditDelta
@@ -90,20 +75,6 @@ type Result struct {
 
 // Option configures a Store.
 type Option func(*Store)
-
-// WithInterval sets the materialisation epoch interval: a new snapshot is
-// spliced once at least n edits are pending. n <= 1 (the default)
-// materialises on every Apply call, so edits are immediately visible.
-// Larger intervals amortise the splice over bursts of writes at the price
-// of queries reading an up-to-(n-1)-edits-stale epoch until the next
-// materialisation or Flush.
-func WithInterval(n int) Option {
-	return func(s *Store) {
-		if n > 1 {
-			s.interval = n
-		}
-	}
-}
 
 // WithBaseEpoch numbers the store's initial snapshot, so a store warm-started
 // from a persisted epoch continues the sequence instead of restarting at 0.
@@ -113,21 +84,17 @@ func WithBaseEpoch(epoch uint64) Option {
 
 // Store is the versioned graph store. One mutex serialises writers; readers
 // take the current snapshot with a single atomic load and are never blocked
-// by a write or a materialisation in progress.
+// by a write in progress.
 type Store struct {
-	mu       sync.Mutex
-	snap     atomic.Pointer[Snapshot]
-	pending  []Edit
-	log      []LogEntry
-	seq      uint64
-	base     uint64
-	interval int
+	mu   sync.Mutex
+	snap atomic.Pointer[Snapshot]
+	base uint64
 }
 
 // New returns a store whose initial snapshot is base at the configured base
 // epoch (0 by default).
 func New(base *graph.Graph, opts ...Option) *Store {
-	s := &Store{interval: 1}
+	s := &Store{}
 	for _, o := range opts {
 		o(s)
 	}
@@ -139,124 +106,29 @@ func New(base *graph.Graph, opts ...Option) *Store {
 // from any goroutine, never blocked by writers.
 func (s *Store) Snapshot() Snapshot { return *s.snap.Load() }
 
-// Pending returns the number of logged edits not yet materialised.
-func (s *Store) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
-
-// Apply validates the batch, appends it to the delta log, and materialises a
-// new snapshot if the pending count reaches the epoch interval. The batch is
-// atomic: any invalid edit (negative or overflowing node id) rejects the
-// whole batch without logging anything.
+// Apply splices the batch into a new snapshot, advancing the epoch if the
+// graph changed. The batch is atomic: any invalid edit (unknown op, or a
+// node id that is negative or exceeds int32) rejects the whole batch and
+// leaves the store as it was.
 func (s *Store) Apply(edits []Edit) (Result, error) {
-	for _, e := range edits {
-		if e.U < 0 || e.V < 0 {
-			return Result{}, fmt.Errorf("dyngraph: negative node id in edit (%d, %d)", e.U, e.V)
-		}
+	ops := make([]graph.EdgeOp, len(edits))
+	for i, e := range edits {
 		if e.Op != OpInsert && e.Op != OpDelete {
 			return Result{}, fmt.Errorf("dyngraph: unknown op %d", e.Op)
 		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	epoch := s.snap.Load().Epoch
-	for _, e := range edits {
-		s.seq++
-		s.log = append(s.log, LogEntry{Seq: s.seq, Base: epoch, Edit: e})
-	}
-	s.pending = append(s.pending, edits...)
-	res := Result{Applied: len(edits)}
-	if len(s.pending) >= s.interval && len(s.pending) > 0 {
-		if err := s.materializeLocked(&res); err != nil {
-			return Result{}, err
-		}
-	}
-	res.Snapshot = *s.snap.Load()
-	res.Pending = len(s.pending)
-	return res, nil
-}
-
-// Flush materialises any pending edits regardless of the epoch interval.
-func (s *Store) Flush() (Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var res Result
-	if len(s.pending) > 0 {
-		if err := s.materializeLocked(&res); err != nil {
-			return Result{}, err
-		}
-	}
-	res.Snapshot = *s.snap.Load()
-	res.Pending = len(s.pending)
-	return res, nil
-}
-
-// materializeLocked splices the pending edits into a new snapshot. Requires
-// s.mu. The epoch advances only if the graph actually changed; either way
-// the pending buffer drains.
-func (s *Store) materializeLocked(res *Result) error {
-	cur := s.snap.Load()
-	ops := make([]graph.EdgeOp, len(s.pending))
-	for i, e := range s.pending {
 		ops[i] = e.op()
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.snap.Load()
 	ng, delta, err := cur.Graph.ApplyEdits(ops)
 	if err != nil {
-		// Validation in Apply makes this unreachable; surface it rather than
-		// silently dropping the pending edits if it ever happens.
-		return fmt.Errorf("dyngraph: materialise: %w", err)
+		return Result{}, err
 	}
-	s.pending = s.pending[:0]
 	if delta.Empty() {
-		// A structural no-op batch has no replay value: the current snapshot
-		// already reflects it, and since the epoch is not advancing, its log
-		// entries (Base == current epoch) would survive every Compact(current)
-		// forever — one leaked entry per idempotent edit in a long-running
-		// server. Drop them with the pending buffer; they are always the log
-		// tail, because Apply appends to both in lockstep and nothing else
-		// appends to the log.
-		if n := len(s.log); n >= len(ops) {
-			s.log = s.log[:n-len(ops)]
-		}
-		return nil
+		return Result{Snapshot: *cur}, nil
 	}
-	s.snap.Store(&Snapshot{Graph: ng, Epoch: cur.Epoch + 1})
-	res.Materialized = true
-	res.Delta = delta
-	return nil
-}
-
-// LogLen returns the number of entries currently held in the delta log
-// (accepted edits not yet discarded by Compact).
-func (s *Store) LogLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.log)
-}
-
-// Log returns a copy of the delta log entries currently held.
-func (s *Store) Log() []LogEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]LogEntry(nil), s.log...)
-}
-
-// Compact discards log entries already materialised into epochs <= epoch,
-// returning how many were dropped. A server that persists a binary snapshot
-// of epoch E can compact through E: warm restart then needs no replay at
-// all, and anything newer is still replayable from the remaining tail.
-func (s *Store) Compact(epoch uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keep := s.log[:0]
-	for _, le := range s.log {
-		if le.Base >= epoch {
-			keep = append(keep, le)
-		}
-	}
-	n := len(s.log) - len(keep)
-	s.log = keep
-	return n
+	next := &Snapshot{Graph: ng, Epoch: cur.Epoch + 1}
+	s.snap.Store(next)
+	return Result{Snapshot: *next, Materialized: true, Delta: delta}, nil
 }

@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +23,8 @@ func TestStoreApplyMaterializesEveryCallByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Materialized || res.Snapshot.Epoch != 1 || res.Pending != 0 {
-		t.Fatalf("result = %+v, want materialized epoch 1, no pending", res)
+	if !res.Materialized || res.Snapshot.Epoch != 1 {
+		t.Fatalf("result = %+v, want materialized epoch 1", res)
 	}
 	if m := res.Snapshot.Graph.M(); m != 5 {
 		t.Fatalf("edges = %d, want 5 (one in, one out)", m)
@@ -39,129 +40,35 @@ func TestStoreApplyMaterializesEveryCallByDefault(t *testing.T) {
 	}
 }
 
-func TestStoreIntervalDefersMaterialization(t *testing.T) {
-	s := New(baseGraph(), WithInterval(3))
-	r1, err := s.Apply([]Edit{Insert(4, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Materialized || r1.Pending != 1 || r1.Snapshot.Epoch != 0 {
-		t.Fatalf("r1 = %+v, want pending, epoch 0", r1)
-	}
-	// The snapshot must not see the pending edit.
-	if s.Snapshot().Graph.HasEdge(4, 1) {
-		t.Fatal("pending edit leaked into the snapshot")
-	}
-	r2, err := s.Apply([]Edit{Insert(4, 2), Insert(4, 3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Materialized || r2.Snapshot.Epoch != 1 || r2.Pending != 0 {
-		t.Fatalf("r2 = %+v, want materialized epoch 1", r2)
-	}
-	for _, v := range []int{1, 2, 3} {
-		if !s.Snapshot().Graph.HasEdge(4, v) {
-			t.Fatalf("edge 4→%d missing after materialization", v)
-		}
-	}
-}
-
-func TestStoreFlush(t *testing.T) {
-	s := New(baseGraph(), WithInterval(100))
-	if _, err := s.Apply([]Edit{Insert(4, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Materialized || res.Snapshot.Epoch != 1 || res.Pending != 0 {
-		t.Fatalf("flush result = %+v", res)
-	}
-	// Flushing with nothing pending is a no-op.
-	res, err = s.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Materialized || res.Snapshot.Epoch != 1 {
-		t.Fatalf("second flush = %+v", res)
-	}
-}
-
 func TestStoreNoOpBatchKeepsEpoch(t *testing.T) {
 	s := New(baseGraph())
 	res, err := s.Apply([]Edit{Insert(0, 1), Delete(3, 4)}) // both no-ops
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Materialized || res.Snapshot.Epoch != 0 || res.Pending != 0 {
-		t.Fatalf("no-op apply = %+v, want epoch 0, drained pending", res)
-	}
-}
-
-// Materialised no-op batches must not leave log entries behind: their Base
-// equals the (unadvanced) current epoch, so Compact(current) would keep
-// them forever — one leaked entry per idempotent edit in a long-running
-// server.
-func TestStoreNoOpBatchLeavesNoLogResidue(t *testing.T) {
-	s := New(baseGraph())
-	for i := 0; i < 100; i++ {
-		if _, err := s.Apply([]Edit{Insert(0, 1)}); err != nil { // already present
-			t.Fatal(err)
-		}
-		s.Compact(s.Snapshot().Epoch)
-	}
-	if n := s.LogLen(); n != 0 {
-		t.Fatalf("log holds %d entries after 100 compacted no-op applies, want 0", n)
-	}
-	// An effective batch after the no-ops still logs and replays normally.
-	res, err := s.Apply([]Edit{Insert(4, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Materialized || res.Snapshot.Epoch != 1 {
-		t.Fatalf("effective apply after no-ops = %+v, want epoch 1", res)
-	}
-	if got := s.Log(); len(got) != 1 || got[0].Base != 0 || got[0].Edit != Insert(4, 0) {
-		t.Fatalf("log after effective apply = %+v", got)
+	if res.Materialized || res.Snapshot.Epoch != 0 {
+		t.Fatalf("no-op apply = %+v, want epoch 0", res)
 	}
 }
 
 func TestStoreRejectsInvalidBatchAtomically(t *testing.T) {
 	s := New(baseGraph())
-	if _, err := s.Apply([]Edit{Insert(4, 4), {Op: OpInsert, U: -1, V: 0}}); err == nil {
-		t.Fatal("want error")
+	base := s.Snapshot().Graph
+	for _, bad := range []Edit{Insert(-1, 0), Insert(math.MaxInt32+1, 0), {Op: 7, U: 0, V: 1}} {
+		if _, err := s.Apply([]Edit{Insert(4, 4), bad}); err == nil {
+			t.Fatalf("batch with %+v: want error", bad)
+		}
+		if snap := s.Snapshot(); snap.Epoch != 0 || snap.Graph != base {
+			t.Fatalf("batch with %+v left epoch %d, graph changed %v", bad, snap.Epoch, snap.Graph != base)
+		}
 	}
-	if s.LogLen() != 0 || s.Pending() != 0 {
-		t.Fatal("rejected batch left state behind")
-	}
-	if s.Snapshot().Graph.HasEdge(4, 4) {
-		t.Fatal("rejected batch partially applied")
-	}
-}
-
-func TestStoreLogAndCompact(t *testing.T) {
-	s := New(baseGraph())
-	if _, err := s.Apply([]Edit{Insert(4, 0)}); err != nil { // epoch 0→1
+	// A rejected batch leaves nothing behind that a later valid one trips on.
+	res, err := s.Apply([]Edit{Insert(4, 4)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply([]Edit{Delete(4, 0), Insert(4, 1)}); err != nil { // 1→2
-		t.Fatal(err)
-	}
-	log := s.Log()
-	if len(log) != 3 {
-		t.Fatalf("log length = %d, want 3", len(log))
-	}
-	if log[0].Seq != 1 || log[0].Base != 0 || log[1].Base != 1 || log[2].Base != 1 {
-		t.Fatalf("log = %+v", log)
-	}
-	// Compact through epoch 1: the first entry (materialised into epoch 1)
-	// goes, the ones on top of epoch 1 stay.
-	if n := s.Compact(1); n != 1 {
-		t.Fatalf("compact dropped %d, want 1", n)
-	}
-	if s.LogLen() != 2 {
-		t.Fatalf("log length after compact = %d, want 2", s.LogLen())
+	if !res.Materialized || res.Snapshot.Epoch != 1 || !s.Snapshot().Graph.HasEdge(4, 4) {
+		t.Fatalf("valid batch after rejections = %+v, want epoch 1 with edge 4→4", res)
 	}
 }
 

@@ -73,8 +73,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 
 // Binary snapshot format. Unlike the text edge list, the binary form
 // serialises the CSR arrays directly, so a server can persist the graph of
-// the current epoch and warm-restart without re-parsing text or replaying a
-// delta log. Only the out-direction and labels are written; the in-direction
+// the current epoch and warm-restart without re-parsing text or replaying
+// edits. Only the out-direction and labels are written; the in-direction
 // CSR is rebuilt on read by a counting pass that reproduces the builder's
 // layout exactly, so a round-trip yields a structurally identical graph.
 //

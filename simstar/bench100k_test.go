@@ -50,8 +50,15 @@ func BenchmarkEngineSingleSource100k(b *testing.B) {
 	engine := func(opts ...simstar.Option) *simstar.Engine {
 		return simstar.NewEngine(g, append([]simstar.Option{simstar.WithCacheSize(-1), benchMiner}, opts...)...)
 	}
+	// One query before the timer builds the pooled workspace, as in into
+	// below; otherwise every b.Run round's fresh engine times that cold
+	// build (~7 MB) divided by b.N, and B/op, allocs/op and ns/op all move
+	// with -benchtime.
 	single := func(b *testing.B, eng *simstar.Engine, measure string) {
 		b.Helper()
+		if _, err := eng.SingleSource(ctx, measure, 0); err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.SingleSource(ctx, measure, (i*7919)%g.N()); err != nil {

@@ -17,7 +17,7 @@ const DefaultCacheSize = 256
 // computed on an earlier epoch simply stop matching and age out through the
 // LRU. config is a flat struct of comparable fields, so the key is usable
 // as a map key directly; the serving-only knobs (workers, cache capacity,
-// epoch policy) are stripped by cacheParams first. The tolerance stays in
+// base epoch) are stripped by cacheParams first. The tolerance stays in
 // the key — it shapes the numbers — so an eps-approximate entry can never
 // be served to a request with a different (in particular, tighter)
 // tolerance; the engine's lookup additionally probes the tolerance-zero

@@ -46,31 +46,26 @@ func ReadEdits(r io.Reader) ([]Edit, error) { return dyngraph.ReadEdits(r) }
 func WriteEdits(w io.Writer, edits []Edit) error { return dyngraph.WriteEdits(w, edits) }
 
 // GraphSnapshot is the engine's current graph version: the immutable graph
-// being served, its epoch number, and how many accepted edits are still
-// pending materialisation (non-zero only under WithEpochInterval > 1).
+// being served and its epoch number.
 type GraphSnapshot struct {
 	// Graph is the immutable graph of the served epoch.
 	Graph *Graph
 	// Epoch is the version number of the served graph.
 	Epoch uint64
-	// Pending counts accepted edits not yet materialised into an epoch.
-	Pending int
 }
 
-// EditStats reports what one ApplyEdits or Refresh call did.
+// EditStats reports what one ApplyEdits call did.
 type EditStats struct {
 	// Epoch is the graph version being served after the call.
 	Epoch uint64
-	// Applied is the number of edits this call accepted into the delta log.
+	// Applied is the number of edits in the accepted batch.
 	Applied int
-	// Pending is the number of accepted edits not yet materialised.
-	Pending int
-	// Inserted and Removed count the edges actually added/removed by the
-	// materialisation this call triggered (0 when nothing materialised, and
-	// no-op edits — inserting a present edge, deleting an absent one — are
-	// never counted).
+	// Inserted and Removed count the edges the batch actually added and
+	// removed (no-op edits — inserting a present edge, deleting an absent
+	// one — are never counted).
 	Inserted, Removed int
-	// Refreshed reports whether this call swapped in a new epoch state.
+	// Refreshed reports whether this call swapped in a new epoch state:
+	// false exactly when the batch left the graph unchanged.
 	Refreshed bool
 	// RefreshTime is what the incremental state refresh cost, when
 	// Refreshed: the transition-matrix splice, but not the biclique
@@ -80,14 +75,15 @@ type EditStats struct {
 	Nodes, Edges int
 }
 
-// ApplyEdits streams a batch of edge mutations into the engine's versioned
-// store. The batch is atomic: an invalid edit (negative node id) rejects the
-// whole batch. By default every call materialises a new graph epoch and
-// swaps in an incrementally-refreshed state — only transition-matrix rows
-// whose neighbourhoods changed are recomputed, everything else is reused —
-// after which queries (including the result cache, which keys on the epoch)
-// see the new graph. Under WithEpochInterval(n) edits accumulate and
-// materialise once n are pending, or on Refresh.
+// ApplyEdits applies a batch of edge mutations to the served graph. The
+// batch is atomic: an invalid edit (a negative node id, or one past int32)
+// rejects the whole batch and changes nothing. A batch that changes the
+// graph materialises a new graph epoch and swaps in an
+// incrementally-refreshed state — only transition-matrix rows whose
+// neighbourhoods changed are recomputed, everything else is reused — after
+// which queries (including the result cache, which keys on the epoch) see
+// the new graph. A batch of no-op edits keeps the epoch, and with it the
+// cache.
 //
 // Scores computed on the refreshed epoch are bitwise-identical to those of
 // an engine built from scratch on the mutated graph, for every measure.
@@ -103,27 +99,10 @@ func (e *Engine) ApplyEdits(edits ...Edit) (EditStats, error) {
 	if err != nil {
 		return EditStats{}, err
 	}
-	return e.finishEdits(res), nil
-}
-
-// Refresh materialises any pending edits into a new epoch immediately,
-// regardless of the epoch interval. With nothing pending it is a no-op.
-func (e *Engine) Refresh() (EditStats, error) {
-	e.editMu.Lock()
-	defer e.editMu.Unlock()
-	res, err := e.store.Flush()
-	if err != nil {
-		return EditStats{}, err
-	}
-	return e.finishEdits(res), nil
-}
-
-// finishEdits swaps in the refreshed state for a materialised store result
-// and assembles the stats. Caller holds editMu, so the loaded state is
-// exactly the snapshot the delta was spliced against.
-func (e *Engine) finishEdits(res dyngraph.Result) EditStats {
-	stats := EditStats{Applied: res.Applied, Pending: res.Pending}
+	stats := EditStats{Applied: len(edits)}
 	if res.Materialized {
+		// editMu is held, so the loaded state is exactly the snapshot the
+		// delta was spliced against.
 		old := e.state.Load()
 		g := res.Snapshot.Graph
 		// The new epoch inherits the old one's scratch pools, warm arenas
@@ -151,26 +130,18 @@ func (e *Engine) finishEdits(res dyngraph.Result) EditStats {
 		stats.Inserted = res.Delta.Inserted
 		stats.Removed = res.Delta.Removed
 	}
-	if res.Applied > 0 || res.Materialized {
-		// The engine exposes no delta-log reader and WriteSnapshot persists
-		// whole epochs, so materialised log entries have no consumer here —
-		// compact them away or a long-lived mutation workload would leak one
-		// entry per edit forever. Pending (unmaterialised) entries survive,
-		// as does anything accepted on top of the current epoch.
-		e.store.Compact(e.state.Load().epoch)
-	}
 	st := e.state.Load()
 	stats.Epoch = st.epoch
 	stats.Nodes = st.g.N()
 	stats.Edges = st.g.M()
-	return stats
+	return stats, nil
 }
 
 // Snapshot returns the engine's current graph version. The graph is
 // immutable: it is safe to read from any goroutine while edits continue.
 func (e *Engine) Snapshot() GraphSnapshot {
 	st := e.load()
-	return GraphSnapshot{Graph: st.g, Epoch: st.epoch, Pending: e.store.Pending()}
+	return GraphSnapshot{Graph: st.g, Epoch: st.epoch}
 }
 
 // Epoch returns the graph version currently served.
@@ -178,12 +149,10 @@ func (e *Engine) Epoch() uint64 { return e.load().epoch }
 
 // WriteSnapshot persists the currently-served graph and its epoch in the
 // binary snapshot format, so a server can warm-restart with ReadSnapshot +
-// NewEngine(g, WithBaseEpoch(epoch)) without replaying the delta log.
-// Pending (unmaterialised) edits are not included; call Refresh first if
-// they must be. The returned GraphSnapshot is exactly the version written
-// — with mutations racing the call, that may already differ from a fresh
-// Snapshot(), so callers reporting what they persisted must use the return
-// value.
+// NewEngine(g, WithBaseEpoch(epoch)) without replaying any mutations. The
+// returned GraphSnapshot is exactly the version written — with mutations
+// racing the call, that may already differ from a fresh Snapshot(), so
+// callers reporting what they persisted must use the return value.
 func (e *Engine) WriteSnapshot(w io.Writer) (GraphSnapshot, error) {
 	st := e.load()
 	err := dyngraph.WriteSnapshot(w, dyngraph.Snapshot{Graph: st.g, Epoch: st.epoch})

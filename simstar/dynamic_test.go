@@ -3,6 +3,7 @@ package simstar_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -249,32 +250,6 @@ func TestApplyEditsSharedAcrossWith(t *testing.T) {
 	}
 }
 
-func TestEpochIntervalBuffersEdits(t *testing.T) {
-	g := simstar.GraphFromEdges(3, [][2]int{{0, 1}})
-	eng := simstar.NewEngine(g, simstar.WithEpochInterval(3))
-	st, err := eng.ApplyEdits(simstar.InsertEdge(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Refreshed || st.Pending != 1 || eng.Epoch() != 0 {
-		t.Fatalf("stats = %+v epoch %d, want buffered at epoch 0", st, eng.Epoch())
-	}
-	if eng.Graph().HasEdge(1, 2) {
-		t.Fatal("pending edit visible before materialisation")
-	}
-	if snap := eng.Snapshot(); snap.Pending != 1 || snap.Epoch != 0 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	// Refresh forces the epoch regardless of the interval.
-	st, err = eng.Refresh()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Refreshed || st.Epoch != 1 || !eng.Graph().HasEdge(1, 2) {
-		t.Fatalf("refresh stats = %+v", st)
-	}
-}
-
 func TestNoOpEditsKeepEpochAndCache(t *testing.T) {
 	ctx := context.Background()
 	g := simstar.GraphFromEdges(3, [][2]int{{0, 1}, {1, 2}})
@@ -329,11 +304,22 @@ func TestStatsCarryCompressionAcrossEdits(t *testing.T) {
 
 func TestApplyEditsRejectsInvalid(t *testing.T) {
 	eng := simstar.NewEngine(simstar.GraphFromEdges(2, [][2]int{{0, 1}}))
-	if _, err := eng.ApplyEdits(simstar.InsertEdge(-1, 0)); err == nil {
-		t.Fatal("want error for negative id")
+	base := eng.Graph()
+	for _, bad := range []simstar.Edit{simstar.InsertEdge(-1, 0), simstar.InsertEdge(math.MaxInt32+1, 0)} {
+		if _, err := eng.ApplyEdits(simstar.InsertEdge(1, 0), bad); err == nil {
+			t.Fatalf("batch with %+v: want error", bad)
+		}
+		if eng.Epoch() != 0 || eng.Graph() != base {
+			t.Fatalf("batch with %+v advanced the epoch or changed the graph", bad)
+		}
 	}
-	if eng.Epoch() != 0 {
-		t.Fatal("rejected batch advanced the epoch")
+	// A rejected batch leaves nothing behind that a later valid one trips on.
+	st, err := eng.ApplyEdits(simstar.InsertEdge(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch != 1 || !eng.Graph().HasEdge(1, 0) {
+		t.Fatalf("valid batch after rejections = %+v, want epoch 1 with edge 1→0", st)
 	}
 }
 

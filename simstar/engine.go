@@ -46,16 +46,16 @@ type Engine struct {
 	cfg  config
 	opts []Option
 
-	// store is the versioned write path: the append-only delta log and the
-	// epoch materialisation policy live there. Engines derived through With
-	// share it — they are views of the same evolving graph.
+	// store is the versioned write path: each accepted batch is spliced into
+	// a new epoch there. Engines derived through With share it — they are
+	// views of the same evolving graph.
 	store *dyngraph.Store
 
 	// state is the read path: the current epoch's immutable preprocessed
 	// structures, swapped wholesale on refresh. Shared across With.
 	state *atomic.Pointer[engineState]
 
-	// editMu serialises ApplyEdits/Refresh so each materialised delta is
+	// editMu serialises ApplyEdits so each materialised delta is
 	// spliced onto the state it was computed against. Never held by queries.
 	editMu *sync.Mutex
 
@@ -84,7 +84,7 @@ type engineState struct {
 	// each pool until the second GC after its last use, and a pool inside
 	// the state would keep a superseded epoch's graph and operators
 	// reachable with it. Consecutive epochs with one node count share a set
-	// (see finishEdits), so an epoch's first queries reuse warm arenas.
+	// (see ApplyEdits), so an epoch's first queries reuse warm arenas.
 	pools *scratchPools
 
 	// transitionTime is what building (epoch 0) or incrementally refreshing
@@ -206,9 +206,6 @@ type EngineStats struct {
 	// Epoch is the graph version being served; 0 until the first
 	// materialised mutation (or the warm-start epoch under WithBaseEpoch).
 	Epoch uint64
-	// PendingEdits counts edits applied but not yet materialised into a
-	// snapshot (only non-zero under WithEpochInterval > 1).
-	PendingEdits int
 	// CompressedEdges is m̃, the edge count of the compressed bigraph.
 	CompressedEdges int
 	// ConcentrationNodes is the number of mined bicliques.
@@ -231,9 +228,7 @@ func NewEngine(g *Graph, opts ...Option) *Engine {
 	e.cache = newResultCache(e.cfg.cacheSize)
 	e.editMu = &sync.Mutex{}
 	e.state = &atomic.Pointer[engineState]{}
-	e.store = dyngraph.New(g,
-		dyngraph.WithInterval(e.cfg.epochInterval),
-		dyngraph.WithBaseEpoch(e.cfg.baseEpoch))
+	e.store = dyngraph.New(g, dyngraph.WithBaseEpoch(e.cfg.baseEpoch))
 	st := newEngineState(g, e.cfg.baseEpoch, newScratchPools(g.N(), e.cfg.observer))
 	t0 := time.Now()
 	st.backward = sparse.BackwardTransition(g)
@@ -258,8 +253,8 @@ func (e *Engine) Graph() *Graph { return e.load().g }
 // without repeating the preprocessing. The receiver is not modified; edits
 // applied through either engine are visible to both. Structure-shaping
 // options are fixed at construction: a WithMiner passed here does not
-// re-mine the shared compression, and a WithEpochInterval here does not
-// re-tune the shared store (build a new Engine for those).
+// re-mine the shared compression, and a WithCacheSize here does not resize
+// the shared cache (build a new Engine for those).
 func (e *Engine) With(opts ...Option) *Engine {
 	ne := *e
 	ne.opts = append(append([]Option(nil), e.opts...), opts...)
@@ -274,7 +269,6 @@ func (e *Engine) Stats() EngineStats {
 		Nodes:          st.g.N(),
 		Edges:          st.g.M(),
 		Epoch:          st.epoch,
-		PendingEdits:   e.store.Pending(),
 		TransitionTime: st.transitionTime,
 	}
 	if cr := st.comp.peek(); cr != nil {

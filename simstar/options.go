@@ -34,18 +34,17 @@ type config struct {
 	// they return, and are therefore excluded from result-cache keys
 	// (see (config).cacheParams). The graph *content* a query sees is
 	// versioned separately, by the epoch field of the cache key.
-	workers       int
-	cacheSize     int
-	epochInterval int
-	baseEpoch     uint64
-	observer      *Observer
-	deadline      time.Duration
-	fault         *faultHook
+	workers   int
+	cacheSize int
+	baseEpoch uint64
+	observer  *Observer
+	deadline  time.Duration
+	fault     *faultHook
 }
 
 // cacheParams strips the serving knobs so that two configs computing the
 // same numbers share one result-cache key regardless of worker count,
-// cache capacity, or epoch policy. Tolerances below MinTolerance normalise
+// cache capacity, or base epoch. Tolerances below MinTolerance normalise
 // to 0 for the same reason: they are served by the exact kernels, so their
 // results are the exact results — a distinct key would fragment the cache
 // and dodge the exact-donor probe.
@@ -55,11 +54,10 @@ type config struct {
 // listed must ride into the cache key untouched. Add a field to the list
 // only if it can never change what a query returns.
 //
-//simstar:cachekey-exempt workers cacheSize epochInterval baseEpoch observer deadline fault
+//simstar:cachekey-exempt workers cacheSize baseEpoch observer deadline fault
 func (cfg config) cacheParams() config {
 	cfg.workers = 0
 	cfg.cacheSize = 0
-	cfg.epochInterval = 0
 	cfg.baseEpoch = 0
 	// Observation never changes what a query returns; stripping it also
 	// keeps cache keys, and with them batch deduplication, identical with
@@ -160,15 +158,6 @@ func WithWorkers(n int) Option { return func(cfg *config) { cfg.workers = n } }
 // disables the cache. Only the Engine reads it; it never changes what a
 // query returns.
 func WithCacheSize(n int) Option { return func(cfg *config) { cfg.cacheSize = n } }
-
-// WithEpochInterval sets how many edits the Engine's versioned store buffers
-// before materialising a new graph epoch. The default (and anything <= 1)
-// materialises on every ApplyEdits call, so mutations are immediately
-// visible; a larger interval amortises the refresh over write bursts at the
-// price of queries reading an up-to-(n-1)-edits-stale epoch until the next
-// materialisation or Refresh. Fixed at engine construction; it never changes
-// what a query returns for the epoch it runs on.
-func WithEpochInterval(n int) Option { return func(cfg *config) { cfg.epochInterval = n } }
 
 // WithBaseEpoch numbers the engine's initial graph epoch, so an engine
 // warm-started from a persisted snapshot (ReadSnapshot) resumes the version

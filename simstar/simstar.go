@@ -15,9 +15,9 @@
 //     call; the Engine is what makes heavy query traffic affordable.
 //
 // The served graph is dynamic: Engine.ApplyEdits streams edge insertions
-// and removals through a versioned store, each materialised batch becoming
-// a new graph epoch whose preprocessing is refreshed incrementally and
-// whose scores are bitwise-identical to a from-scratch build. Queries and
+// and removals through a versioned store, each batch that changes the graph
+// becoming a new graph epoch whose preprocessing is refreshed incrementally
+// and whose scores are bitwise-identical to a from-scratch build. Queries and
 // mutations never block each other — a query answers from the epoch it
 // pinned at entry. Engine.Snapshot/WriteSnapshot/ReadSnapshot persist an
 // epoch for warm restarts.
