@@ -19,11 +19,14 @@ perfbench-test:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test .
 
-# Short end-to-end runs of the repository benchmark, one read-only and one
-# with edge edits; each fails unless every answer is correct and no op failed.
+# Short end-to-end runs of the repository benchmark, one per workload (cold
+# and cache-hit reads, edge edits, batches); each fails unless every answer
+# is correct and no op failed.
 perfbench-smoke:
 	bash perfbench/run.sh --workload topk_cold --seed 1 --seconds 3 --trace 0 | tail -1 | jq -e '.correct and .failed == 0'
 	bash perfbench/run.sh --workload topk_edits --seed 1 --seconds 3 --trace 0 | tail -1 | jq -e '.correct and .failed == 0'
+	bash perfbench/run.sh --workload topk_hot --seed 1 --seconds 3 --trace 0 | tail -1 | jq -e '.correct and .failed == 0'
+	bash perfbench/run.sh --workload batch_cold --seed 1 --seconds 3 --trace 0 | tail -1 | jq -e '.correct and .failed == 0'
 
 race:
 	$(GO) test -race ./...

@@ -29,8 +29,8 @@ import (
 )
 
 // Admission weights by endpoint: what one admitted request is allowed to
-// cost relative to the concurrency limit. A batch fans out across the
-// engine's sweep pools, so it reserves several tokens.
+// cost relative to the concurrency limit. A batch fans out over the
+// engine's worker pool (WithWorkers), so it reserves several tokens.
 const (
 	weightSingle = 1
 	weightTopK   = 1

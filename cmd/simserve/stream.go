@@ -120,10 +120,10 @@ func (s *server) abort(sw *streamWriter, count int, err error) {
 	sw.line(trailer)
 }
 
-// streamTopK answers one topk query as NDJSON, produced by the engine's
-// lazy TopKStream — the serving path never materialises the O(n) score
-// vector. Errors before the first byte map to ordinary JSON error
-// responses; after that the stream owns the connection.
+// streamTopK answers one topk query as NDJSON, emitted entry by entry from
+// the engine's TopKStream, which selects from the same cached score vector
+// as an unstreamed topk read. Errors before the first byte map to ordinary
+// JSON error responses; after that the stream owns the connection.
 func (s *server) streamTopK(w http.ResponseWriter, r *http.Request, eng *simstar.Engine, q simstar.Query, tolerance, degraded, traced bool) {
 	qe := eng
 	if len(q.Opts) > 0 {

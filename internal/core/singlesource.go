@@ -250,13 +250,52 @@ func rankedBelow(a, b Ranked) bool {
 // result, and k greater than the number of candidates (len(scores) minus
 // the excluded nodes) returns every candidate, fully ordered.
 func TopK(scores []float64, k int, exclude ...int) []Ranked {
-	return TopKInto(scores, k, nil, exclude...)
+	// Clamp before sizing the heap: it can never hold more than one entry
+	// per score, so an oversized k must not grow the allocation.
+	k = min(k, len(scores))
+	if k <= 0 {
+		return nil
+	}
+	var skip map[int]bool
+	if len(exclude) > excludeScanMax {
+		skip = make(map[int]bool, len(exclude))
+		for _, e := range exclude {
+			skip[e] = true
+		}
+	}
+	// h is a min-heap under rankedBelow: h[0] is the weakest kept entry.
+	h := make([]Ranked, 0, k)
+	for i, s := range scores {
+		if skip != nil {
+			if skip[i] {
+				continue
+			}
+		} else if excludedNode(exclude, i) {
+			continue
+		}
+		r := Ranked{Node: i, Score: s}
+		if len(h) < k {
+			h = append(h, r)
+			rankedSiftUp(h, len(h)-1)
+		} else if rankedBelow(h[0], r) {
+			h[0] = r
+			rankedSiftDown(h)
+		}
+	}
+	// Order the survivors best-first (score descending, node id ascending)
+	// by in-place heapsort: popping the weakest to the back repeatedly
+	// leaves the strongest at the front. rankedBelow is a strict total
+	// order, so this is the exact sequence a comparison sort produces.
+	for i := len(h) - 1; i > 0; i-- {
+		h[0], h[i] = h[i], h[0]
+		rankedSiftDown(h[:i])
+	}
+	return h
 }
 
-// excludeScanMax is the exclusion-list length up to which TopKInto skips
-// excluded nodes by linear scan. Past it a lookup map is cheaper — and worth
-// its allocation, since a caller excluding hundreds of nodes is not on the
-// zero-alloc streaming path.
+// excludeScanMax is the exclusion-list length up to which TopK skips
+// excluded nodes by linear scan. Past it a lookup map is cheaper than
+// scanning the list once per score.
 const excludeScanMax = 16
 
 // excludedNode reports whether node is in exclude.
@@ -300,60 +339,4 @@ func rankedSiftDown(h []Ranked) {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-}
-
-// TopKInto is TopK writing into caller-provided storage — the
-// bounded-materialization selection behind the streaming top-k paths. The
-// result is built in dst's backing array (grown only when cap(dst) < the
-// clamped k) and returned; entries and order are identical to TopK. With
-// cap(dst) >= min(k, len(scores)) and at most excludeScanMax excluded nodes
-// the call performs zero heap allocations, so a pooling caller selects the
-// top k of an n-vector without materialising anything but the k results.
-func TopKInto(scores []float64, k int, dst []Ranked, exclude ...int) []Ranked {
-	if k <= 0 {
-		return dst[:0]
-	}
-	// Clamp before sizing the heap: it can never hold more than one entry
-	// per score, so an oversized k must not grow the backing array.
-	if k > len(scores) {
-		k = len(scores)
-	}
-	var skip map[int]bool
-	if len(exclude) > excludeScanMax {
-		skip = make(map[int]bool, len(exclude))
-		for _, e := range exclude {
-			skip[e] = true
-		}
-	}
-	// h is a min-heap under rankedBelow: h[0] is the weakest kept entry.
-	h := dst[:0]
-	if cap(h) < k {
-		h = make([]Ranked, 0, k)
-	}
-	for i, s := range scores {
-		if skip != nil {
-			if skip[i] {
-				continue
-			}
-		} else if excludedNode(exclude, i) {
-			continue
-		}
-		r := Ranked{Node: i, Score: s}
-		if len(h) < k {
-			h = append(h, r)
-			rankedSiftUp(h, len(h)-1)
-		} else if rankedBelow(h[0], r) {
-			h[0] = r
-			rankedSiftDown(h)
-		}
-	}
-	// Order the survivors best-first (score descending, node id ascending)
-	// by in-place heapsort: popping the weakest to the back repeatedly
-	// leaves the strongest at the front. rankedBelow is a strict total
-	// order, so this is the exact sequence a comparison sort produces.
-	for i := len(h) - 1; i > 0; i-- {
-		h[0], h[i] = h[i], h[0]
-		rankedSiftDown(h[:i])
-	}
-	return h
 }

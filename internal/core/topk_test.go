@@ -69,39 +69,7 @@ func TestTopKMatchesReference(t *testing.T) {
 	}
 }
 
-func TestTopKIntoMatchesTopK(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(60)
-		scores := make([]float64, n)
-		for i := range scores {
-			scores[i] = float64(rng.Intn(7)) / 6
-		}
-		k := rng.Intn(n + 3)
-		var exclude []int
-		for len(exclude) < rng.Intn(4) {
-			exclude = append(exclude, rng.Intn(n))
-		}
-		want := TopK(scores, k, exclude...)
-
-		// Every dst shape must produce identical entries and order: nil,
-		// exact capacity, oversized, and a dirty reused buffer.
-		dsts := [][]Ranked{
-			nil,
-			make([]Ranked, 0, k),
-			make([]Ranked, 0, n+5),
-			{{Node: -1, Score: 99}, {Node: -2, Score: 98}},
-		}
-		for di, dst := range dsts {
-			got := TopKInto(scores, k, dst, exclude...)
-			if !rankedEqual(got, want) {
-				t.Fatalf("trial %d dst %d: TopKInto=%v want %v", trial, di, got, want)
-			}
-		}
-	}
-}
-
-func TestTopKIntoLargeExcludeList(t *testing.T) {
+func TestTopKLargeExcludeList(t *testing.T) {
 	// More than excludeScanMax exclusions takes the map path; the result
 	// must not change.
 	n := 100
@@ -114,58 +82,41 @@ func TestTopKIntoLargeExcludeList(t *testing.T) {
 		exclude = append(exclude, i*3)
 	}
 	want := topKRef(scores, 12, exclude...)
-	got := TopKInto(scores, 12, nil, exclude...)
+	got := TopK(scores, 12, exclude...)
 	if !rankedEqual(got, want) {
-		t.Fatalf("map-path TopKInto=%v want %v", got, want)
+		t.Fatalf("map-path TopK=%v want %v", got, want)
 	}
 }
 
-func TestTopKIntoBoundaries(t *testing.T) {
+func TestTopKBoundaries(t *testing.T) {
 	scores := []float64{0.3, 0.1, 0.2}
-	if got := TopKInto(scores, 0, nil); got != nil {
-		t.Fatalf("k=0 with nil dst: got %v, want nil", got)
+	if got := TopK(scores, 0); got != nil {
+		t.Fatalf("k=0: got %v, want nil", got)
 	}
 	if got := TopK(scores, -1); got != nil {
 		t.Fatalf("k<0: got %v, want nil", got)
 	}
-	dst := make([]Ranked, 3)
-	if got := TopKInto(scores, 0, dst); len(got) != 0 {
-		t.Fatalf("k=0 with dst: got %v, want empty", got)
+	if got := TopK(nil, 3); got != nil {
+		t.Fatalf("no scores: got %v, want nil", got)
 	}
 	// k > n returns every candidate, fully ordered.
-	got := TopKInto(scores, 10, nil, 1)
+	got := TopK(scores, 10, 1)
 	want := []Ranked{{Node: 0, Score: 0.3}, {Node: 2, Score: 0.2}}
 	if !rankedEqual(got, want) {
 		t.Fatalf("k>n: got %v, want %v", got, want)
 	}
 	// All nodes excluded.
-	if got := TopKInto(scores, 2, nil, 0, 1, 2); len(got) != 0 {
+	if got := TopK(scores, 2, 0, 1, 2); len(got) != 0 {
 		t.Fatalf("all excluded: got %v, want empty", got)
 	}
 }
 
-func TestTopKIntoTieBreakAscendingNode(t *testing.T) {
+func TestTopKTieBreakAscendingNode(t *testing.T) {
 	// Equal scores must rank by ascending node id, best-first.
 	scores := []float64{0.5, 0.5, 0.5, 0.5, 0.9}
-	got := TopKInto(scores, 3, nil)
+	got := TopK(scores, 3)
 	want := []Ranked{{Node: 4, Score: 0.9}, {Node: 0, Score: 0.5}, {Node: 1, Score: 0.5}}
 	if !rankedEqual(got, want) {
 		t.Fatalf("tie-break: got %v, want %v", got, want)
-	}
-}
-
-func TestTopKIntoZeroAllocs(t *testing.T) {
-	n := 4096
-	scores := make([]float64, n)
-	rng := rand.New(rand.NewSource(3))
-	for i := range scores {
-		scores[i] = rng.Float64()
-	}
-	dst := make([]Ranked, 0, 10)
-	allocs := testing.AllocsPerRun(50, func() {
-		dst = TopKInto(scores, 10, dst, 17, 42)
-	})
-	if allocs != 0 {
-		t.Fatalf("TopKInto with preallocated dst: %v allocs/op, want 0", allocs)
 	}
 }

@@ -49,15 +49,6 @@ type Result struct {
 	Err error
 }
 
-// Stream adapts a BatchTopK Result into the lazy iterator form, carrying
-// the result's Cached flag and MaxError certificate. The stream aliases
-// Top — it is a view, not a copy — so a consumer can hand batch answers to
-// the same sink that consumes Engine.TopKStream. A failed or MultiSource
-// result streams zero entries.
-func (r *Result) Stream() *TopKStream {
-	return &TopKStream{ranked: r.Top, maxErr: r.MaxError, cached: r.Cached}
-}
-
 // MultiSource answers a batch of single-source queries. Every query takes
 // the path a lone SingleSourceCertified call takes — node check, one
 // result-cache probe, the single-source kernel on a miss, then the cache
@@ -124,14 +115,6 @@ func (e *Engine) batch(ctx context.Context, queries []Query, topk bool) []Result
 	}
 
 	results := make([]Result, len(queries))
-	answer := func(i int, scores []float64, maxErr float64, cached bool) Result {
-		if !topk {
-			return Result{Scores: scores, Cached: cached, MaxError: maxErr}
-		}
-		q := queries[i]
-		top := TopK(scores, q.K, append([]int{q.Node}, q.Exclude...)...)
-		return Result{Top: top, Cached: cached, MaxError: maxErr}
-	}
 	ran := make([]bool, len(groups))
 	par.ForEachCtx(ctx, len(groups), e.cfg.workers, func(j int) {
 		g := groups[j]
@@ -142,12 +125,17 @@ func (e *Engine) batch(ctx context.Context, queries []Query, topk bool) []Result
 			switch {
 			case err != nil:
 				results[i] = Result{Err: err}
-			case d > 0 && !topk:
-				// Duplicates each own their vector; the representative
-				// keeps the kernel's.
-				results[i] = answer(i, append([]float64(nil), scores...), maxErr, cached)
+			case topk:
+				// Rankings select straight from the shared vector.
+				q := queries[i]
+				top := TopK(scores, q.K, append([]int{q.Node}, q.Exclude...)...)
+				results[i] = Result{Top: top, Cached: cached, MaxError: maxErr}
+			case d == 0:
+				results[i] = Result{Scores: e.own(scores), Cached: cached, MaxError: maxErr}
 			default:
-				results[i] = answer(i, scores, maxErr, cached)
+				// A duplicate always copies: with the cache off the
+				// representative's slot holds the kernel's own vector.
+				results[i] = Result{Scores: append([]float64(nil), scores...), Cached: cached, MaxError: maxErr}
 			}
 		}
 		ran[j] = true

@@ -81,51 +81,44 @@ func newResultCache(capacity int) *resultCache {
 	return c
 }
 
-// get returns a copy of the cached vector for key and its MaxError
-// certificate, if present. Copying on the way out keeps callers free to
-// mutate what they receive — the same contract Scores.Row and the kernels
-// already give.
+// get returns the cached vector for key and its MaxError certificate, if
+// present. The vector is the shared entry itself: entries are read-only
+// (put stores a slice no one writes to afterwards and replaces an entry
+// wholesale, never in place), so every reader may select from it, and the
+// engine copies only where it hands a vector out (see Engine.own).
 func (c *resultCache) get(key cacheKey) ([]float64, float64, bool) {
 	if c == nil {
 		return nil, 0, false
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.stats.Misses++
-		c.mu.Unlock()
 		return nil, 0, false
 	}
 	c.stats.Hits++
 	c.lru.MoveToFront(el)
 	entry := el.Value.(*cacheEntry)
-	src, maxErr := entry.scores, entry.maxErr
-	c.mu.Unlock()
-	// Stored vectors are immutable — put swaps the slice, never writes into
-	// it — so the O(n) copy happens outside the lock and concurrent hits
-	// don't serialise behind each other's memcpy.
-	out := make([]float64, len(src))
-	copy(out, src)
-	return out, maxErr, true
+	return entry.scores, entry.maxErr, true
 }
 
-// put stores a copy of scores under key with its MaxError certificate,
-// evicting from the LRU tail to stay within capacity.
+// put stores scores under key with its MaxError certificate, evicting from
+// the LRU tail to stay within capacity. The cache keeps the slice itself:
+// the caller hands over a vector that nothing writes to again.
 func (c *resultCache) put(key cacheKey, scores []float64, maxErr float64) {
 	if c == nil {
 		return
 	}
-	cp := make([]float64, len(scores))
-	copy(cp, scores)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		entry := el.Value.(*cacheEntry)
-		entry.scores, entry.maxErr = cp, maxErr
+		entry.scores, entry.maxErr = scores, maxErr
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, scores: cp, maxErr: maxErr})
+	c.items[key] = c.lru.PushFront(&cacheEntry{key: key, scores: scores, maxErr: maxErr})
 	for len(c.items) > c.capacity {
 		tail := c.lru.Back()
 		c.lru.Remove(tail)

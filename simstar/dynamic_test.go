@@ -51,9 +51,9 @@ func churn(rng *rand.Rand, n int, set map[[2]int]bool, count int) []simstar.Edit
 	return edits
 }
 
-// pooledAnswers runs query node q down every path that borrows pooled
-// scratch — kernel workspaces and stream buffers, exact and sieved — and
-// returns each answer under the path's name.
+// pooledAnswers runs query node q down the kernel-running read paths
+// (Into and stream on pooled workspaces, sieved, batched) and returns each
+// answer under the path's name.
 func pooledAnswers(t *testing.T, eng *simstar.Engine, q int) map[string]any {
 	t.Helper()
 	ctx := context.Background()

@@ -100,19 +100,13 @@ func newEngineState(g *Graph, epoch uint64, pools *scratchPools) *engineState {
 }
 
 // scratchPools recycles the per-query scratch of the fast paths for one
-// node count. The workspaces and streaming buffers are dimensioned to that
-// count, so a state of another count must not borrow from the set.
+// node count. The workspaces are dimensioned to that count, so a state of
+// another count must not borrow from the set.
 type scratchPools struct {
 	// workspaces recycles the kernel workspaces of the exact single-source
 	// fast paths, so steady-state queries allocate nothing beyond their
 	// result.
 	workspaces sync.Pool
-
-	// streams recycles the score/exclusion scratch of the TopKStream fast
-	// path, so a streamed top-k query materialises no per-query O(n)
-	// vector. Separate from workspaces because the kernels reset their
-	// workspace — the scores under selection cannot share it.
-	streams sync.Pool
 }
 
 // newScratchPools builds an empty set for n-node states. A non-nil observer
@@ -127,7 +121,6 @@ func newScratchPools(n int, o *Observer) *scratchPools {
 		}
 		return sparse.NewWorkspace(n)
 	}
-	p.streams.New = func() any { return &streamScratch{scores: make([]float64, n)} }
 	return p
 }
 
@@ -302,7 +295,7 @@ func (e *Engine) PurgeCache() { e.cache.purge() }
 // WithTolerance the scores are sieved-approximate; use
 // SingleSourceCertified to also receive the MaxError certificate.
 func (e *Engine) SingleSource(ctx context.Context, measureName string, q int) ([]float64, error) {
-	scores, _, _, err := e.singleSource(ctx, e.load(), measureName, q)
+	scores, _, err := e.SingleSourceCertified(ctx, measureName, q)
 	return scores, err
 }
 
@@ -313,7 +306,21 @@ func (e *Engine) SingleSource(ctx context.Context, measureName string, q int) ([
 // for sieved-approximate ones.
 func (e *Engine) SingleSourceCertified(ctx context.Context, measureName string, q int) ([]float64, float64, error) {
 	scores, maxErr, _, err := e.singleSource(ctx, e.load(), measureName, q)
-	return scores, maxErr, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.own(scores), maxErr, nil
+}
+
+// own returns a vector the caller may keep and mutate. With the result
+// cache on, the read path returns the shared, read-only cache entry, so own
+// copies it; with the cache off the vector is a fresh kernel or measure
+// output the engine keeps no reference to, and own returns it as is.
+func (e *Engine) own(scores []float64) []float64 {
+	if e.cache == nil {
+		return scores
+	}
+	return append([]float64(nil), scores...)
 }
 
 // resultKey is the result-cache key of query node q under measureName and
@@ -356,19 +363,22 @@ func (e *Engine) cacheLookup(key cacheKey) ([]float64, float64, bool) {
 	return scores, maxErr, true
 }
 
-// singleSource is SingleSourceCertified against one pinned state, plus a
-// flag reporting whether the result came out of the result cache —
-// surfaced through batch Results and simserve responses.
+// singleSource is singleSourceObs counted under kind=single_source and
+// untraced: the form SingleSourceCertified, SingleSourceInto and TopK run.
 func (e *Engine) singleSource(ctx context.Context, st *engineState, measureName string, q int) ([]float64, float64, bool, error) {
 	return e.singleSourceObs(ctx, st, measureName, q, true, nil)
 }
 
-// singleSourceObs is the instrumented core of the allocating single-source
-// read path. count=false suppresses the per-query counter for callers that
-// count under their own kind (batch fan-out, stream slow path); tr, when
-// non-nil, receives the staged trace — the plan/cache/kernel spans, the
-// cache outcome and the kernel detail — with the caller owning the final
-// Finish stamp.
+// singleSourceObs is the read path every single-source and top-k query
+// takes (SingleSourceInto's exact fast path aside): node check, one
+// result-cache probe, the kernel on a miss, then the cache fill. With the
+// cache on, the vector it returns is the shared cache entry, which no one
+// may write: top-k callers select straight from it, and callers that hand
+// a vector out copy it through own. count=false suppresses the per-query
+// counter for callers that count under their own kind (batch fan-out,
+// streams); tr, when non-nil, receives the staged trace — the
+// plan/cache/kernel spans, the cache outcome and the kernel detail — with
+// the caller owning the final Finish stamp.
 func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureName string, q int, count bool, tr *obs.Trace) ([]float64, float64, bool, error) {
 	o := e.cfg.observer
 	if count && o != nil {
@@ -423,6 +433,11 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 		} else {
 			tr.Plan = "exact"
 		}
+	}
+	if k == nil && e.cache != nil {
+		// A registered Measure's vector is not the engine's: the measure
+		// may keep the slice and write it later, so the entry is a copy.
+		scores = append([]float64(nil), scores...)
 	}
 	e.cache.put(key, scores, maxErr)
 	return scores, maxErr, false, nil
@@ -480,8 +495,8 @@ func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, k *ke
 // variants, and RWR) run on the engine's pooled kernel workspaces and
 // bypass the result cache entirely — a warmed engine performs zero heap
 // allocations per call. Other measures, and engines configured with
-// WithTolerance, fall back to the allocating SingleSource path (result
-// cache included) and copy into dst.
+// WithTolerance, fall back to the read path SingleSource takes (result
+// cache included) and copy its vector into dst.
 //
 //simstar:noalloc
 func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int, dst []float64) (_ []float64, err error) {
@@ -529,9 +544,10 @@ func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int
 // follow the package-level TopK: k <= 0 yields an empty result, k larger
 // than the candidate count yields every candidate. The underlying score
 // vector goes through the result cache, so a TopK after a SingleSource of
-// the same (measure, parameters, node) is a cache hit.
+// the same (measure, parameters, node) is a cache hit, and the selection
+// runs straight over the shared cache entry without copying it.
 func (e *Engine) TopK(ctx context.Context, measureName string, q, k int, exclude ...int) ([]Ranked, error) {
-	scores, err := e.SingleSource(ctx, measureName, q)
+	scores, _, _, err := e.singleSource(ctx, e.load(), measureName, q)
 	if err != nil {
 		return nil, err
 	}

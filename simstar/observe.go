@@ -146,7 +146,7 @@ func (e *Engine) TraceSingleSource(ctx context.Context, measureName string, q in
 		return nil, nil, err
 	}
 	tr.Finish(start)
-	return scores, tr, nil
+	return e.own(scores), tr, nil
 }
 
 // TraceTopK is TopK plus the same structured trace TraceSingleSource

@@ -1,37 +1,15 @@
 package simstar
 
-import (
-	"context"
-
-	"repro/internal/core"
-)
-
-// streamScratch is the pooled per-query scratch of the streaming top-k fast
-// path: one kernel-sized score buffer and a reusable exclusion list. Pooled
-// separately from the kernel workspaces because the kernels Reset their
-// workspace internally — the score vector under selection must live
-// elsewhere.
-type streamScratch struct {
-	scores  []float64
-	exclude []int
-}
-
-// getStream borrows a streaming scratch from the state's pools; putStream
-// returns it.
-func (st *engineState) getStream() *streamScratch   { return st.pools.streams.Get().(*streamScratch) }
-func (st *engineState) putStream(sc *streamScratch) { st.pools.streams.Put(sc) }
+import "context"
 
 // TopKStream is a lazily-consumed top-k result: the k selected entries,
 // already in final order (score descending, ties by ascending node id),
 // handed out one at a time. The entries are identical — order, scores,
-// tie-breaks — to what Engine.TopK returns for the same query; only the
-// production differs: on the exact fast-path measures the stream never
-// materialises a per-query O(n) score vector, so a consumer wanting k=10 of
-// a million-node graph holds 10 entries, not a million scores.
+// tie-breaks — to what Engine.TopK returns for the same query, because both
+// select from the same single-source vector; the stream is that answer in
+// iterator form, for consumers that emit entries as they go.
 //
-// A stream is single-consumer and not safe for concurrent use. It probes
-// the engine's result cache on creation but never populates it (caching
-// would mean keeping the full vector the stream exists to avoid); see
+// A stream is single-consumer and not safe for concurrent use. See
 // ARCHITECTURE.md for the lifecycle.
 type TopKStream struct {
 	ranked []Ranked
@@ -75,64 +53,20 @@ func (s *TopKStream) Collect() []Ranked {
 
 // TopKStream answers the same query as Engine.TopK — the k nodes most
 // similar to q under the named measure, excluding q and any nodes in exclude
-// — as a lazy stream. For the exact fast-path measures (geometric and
-// exponential SimRank*, their memo variants, and RWR) the kernel sweeps a
-// pooled score buffer and bounded selection builds only the k result
-// entries, so a warmed engine allocates O(k) per call — independent of the
-// node count — instead of the O(n) vector TopK's SingleSource path returns.
-// Other measures, and engines configured with WithTolerance, fall back to
-// the materialising path and stream its selection.
-//
-// Streams probe the result cache (a SingleSource of the same query makes
-// the stream a hit) but never populate it. Entries, order and tie-breaks
-// are always identical to Engine.TopK at the same parameters.
-func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, exclude ...int) (_ *TopKStream, err error) {
-	st := e.load()
-	o := e.cfg.observer
-	if o != nil {
+// — as a lazy stream. It takes TopK's read path: one result-cache probe,
+// the kernel on a miss and the cache fill, then selection straight from the
+// shared score vector. A stream therefore fills the cache like every other
+// read, and a stream, TopK or SingleSource of the same query is a hit after
+// any one of them. Streams count under simstar_queries_total{kind="stream"}.
+func (e *Engine) TopKStream(ctx context.Context, measureName string, q, k int, exclude ...int) (*TopKStream, error) {
+	if o := e.cfg.observer; o != nil {
 		o.qStream.Inc()
 	}
-	if err := st.checkQuery(ctx, q); err != nil {
-		o.observeCancel(ctx, err)
+	// count=false: already counted under kind=stream above.
+	scores, maxErr, cached, err := e.singleSourceObs(ctx, e.load(), measureName, q, false, nil)
+	if err != nil {
 		return nil, err
 	}
-	kern := kernelsFor(measureName)
-	if kern == nil || e.cfg.tolerance >= MinTolerance {
-		// count=false: already counted under kind=stream above. The slow path
-		// carries the deadline, fault and panic-isolation wrapping itself.
-		scores, maxErr, cached, err := e.singleSourceObs(ctx, st, measureName, q, false, nil)
-		if err != nil {
-			return nil, err
-		}
-		top := TopK(scores, k, append([]int{q}, exclude...)...)
-		return &TopKStream{ranked: top, maxErr: maxErr, cached: cached}, nil
-	}
-	ctx, cancel := e.cfg.deadlineCtx(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	defer func() {
-		if err != nil {
-			o.observeCancel(ctx, err)
-		}
-	}()
-	defer e.recoverKernel(&err)
-	if scores, maxErr, ok := e.cacheLookup(e.resultKey(st, measureName, q)); ok {
-		top := TopK(scores, k, append([]int{q}, exclude...)...)
-		return &TopKStream{ranked: top, maxErr: maxErr, cached: true}, nil
-	}
-
-	sc := st.getStream()
-	defer st.putStream(sc)
-	if err := e.runExact(ctx, st, kern, q, sc.scores, nil); err != nil {
-		return nil, err
-	}
-	sc.exclude = append(sc.exclude[:0], q)
-	sc.exclude = append(sc.exclude, exclude...)
-	kk := min(max(k, 0), st.g.N())
-	// The stream's storage is freshly allocated (never pooled: it outlives
-	// this call inside the returned stream), sized so TopKInto fills it
-	// without growing.
-	top := core.TopKInto(sc.scores, kk, make([]Ranked, 0, kk), sc.exclude...)
-	return &TopKStream{ranked: top}, nil
+	top := TopK(scores, k, append([]int{q}, exclude...)...)
+	return &TopKStream{ranked: top, maxErr: maxErr, cached: cached}, nil
 }

@@ -2,7 +2,6 @@ package simstar_test
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/simstar"
@@ -128,30 +127,19 @@ func TestTopKStreamNextDrains(t *testing.T) {
 	}
 }
 
-// Explicit tie-break check on a crafted vector: equal scores must stream in
-// ascending node id, identically through TopK and TopKInto.
-func TestTopKIntoTieBreaks(t *testing.T) {
-	scores := []float64{0.25, 0.5, 0.25, 0.5, 0.25, 0.125}
-	want := []simstar.Ranked{
-		{Node: 1, Score: 0.5}, {Node: 3, Score: 0.5},
-		{Node: 0, Score: 0.25}, {Node: 2, Score: 0.25},
-	}
-	got := simstar.TopKInto(scores, 4, make([]simstar.Ranked, 0, 4), 4)
-	if !rankedSliceEqual(got, want) {
-		t.Fatalf("TopKInto = %v, want %v", got, want)
-	}
-	if full := simstar.TopK(scores, 4, 4); !rankedSliceEqual(full, got) {
-		t.Fatalf("TopK %v != TopKInto %v", full, got)
-	}
-}
-
-// Streams probe the result cache but never populate it: a cold stream
-// leaves the cache empty, and a SingleSource of the same query turns the
-// next stream into a hit.
+// Streams take TopK's read path: a cold stream fills the result cache, and
+// the next stream, TopK or one-query BatchTopK of the same key is a hit
+// with the identical ranking.
 func TestTopKStreamCacheInterplay(t *testing.T) {
 	g := streamGraph(t)
 	ctx := context.Background()
 	eng := simstar.NewEngine(g, simstar.WithC(0.6), simstar.WithK(4))
+	wantStats := func(step string, hits uint64) {
+		t.Helper()
+		if cs := eng.CacheStats(); cs.Size != 1 || cs.Misses != 1 || cs.Hits != hits {
+			t.Fatalf("after %s: %+v, want size 1, 1 miss, %d hits", step, cs, hits)
+		}
+	}
 	s, err := eng.TopKStream(ctx, simstar.MeasureGeometric, 2, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -159,22 +147,41 @@ func TestTopKStreamCacheInterplay(t *testing.T) {
 	if s.Cached() {
 		t.Fatal("cold stream claims a cache hit")
 	}
-	if cs := eng.CacheStats(); cs.Size != 0 {
-		t.Fatalf("stream populated the cache: %+v", cs)
-	}
-	if _, err := eng.SingleSource(ctx, simstar.MeasureGeometric, 2); err != nil {
-		t.Fatal(err)
-	}
+	wantStats("cold stream", 0)
+	want := s.Collect()
+
 	s2, err := eng.TopKStream(ctx, simstar.MeasureGeometric, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s2.Cached() {
-		t.Fatal("stream after SingleSource of the same query should be a cache hit")
+		t.Fatal("stream after a stream of the same query should be a cache hit")
 	}
-	if !rankedSliceEqual(s.Collect(), s2.Collect()) {
-		t.Fatal("cached and kernel streams disagree")
+	if got := s2.Collect(); !rankedSliceEqual(got, want) {
+		t.Fatalf("cached stream %v != cold stream %v", got, want)
 	}
+	wantStats("second stream", 1)
+
+	top, err := eng.TopK(ctx, simstar.MeasureGeometric, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rankedSliceEqual(top, want) {
+		t.Fatalf("TopK %v != cold stream %v", top, want)
+	}
+	wantStats("TopK", 2)
+
+	res := eng.BatchTopK(ctx, []simstar.Query{{Measure: simstar.MeasureGeometric, Node: 2, K: 5}})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	if !res[0].Cached {
+		t.Fatal("BatchTopK after a stream of the same query should be a cache hit")
+	}
+	if !rankedSliceEqual(res[0].Top, want) {
+		t.Fatalf("BatchTopK %v != cold stream %v", res[0].Top, want)
+	}
+	wantStats("BatchTopK", 3)
 }
 
 // A tolerance-configured stream must carry the certificate of the
@@ -230,83 +237,5 @@ func TestTopKStreamBoundariesAndErrors(t *testing.T) {
 	cancel()
 	if _, err := eng.TopKStream(cctx, simstar.MeasureGeometric, 0, 5); err == nil {
 		t.Fatal("cancelled context accepted")
-	}
-}
-
-// Result.Stream adapts batch answers to the iterator form, preserving
-// entries and metadata.
-func TestBatchResultStream(t *testing.T) {
-	g := streamGraph(t)
-	ctx := context.Background()
-	eng := simstar.NewEngine(g, simstar.WithC(0.6), simstar.WithK(4))
-	queries := []simstar.Query{
-		{Measure: simstar.MeasureGeometric, Node: 1, K: 4},
-		{Measure: simstar.MeasureRWR, Node: 2, K: 3, Exclude: []int{5}},
-		{Measure: "no-such-measure", Node: 0, K: 2},
-	}
-	results := eng.BatchTopK(ctx, queries)
-	for i, r := range results {
-		s := r.Stream()
-		if r.Err != nil {
-			if s.Len() != 0 {
-				t.Fatalf("query %d: failed result streams %d entries", i, s.Len())
-			}
-			continue
-		}
-		if !rankedSliceEqual(s.Collect(), r.Top) {
-			t.Fatalf("query %d: stream != Top", i)
-		}
-		if s.Cached() != r.Cached || s.MaxError() != r.MaxError {
-			t.Fatalf("query %d: stream metadata diverges from Result", i)
-		}
-	}
-}
-
-// The o(n) allocation claim, asserted: a warmed cache-disabled engine must
-// stream top-k with the same small constant number of allocations at two
-// very different node counts — the per-query O(n) vector is pooled, not
-// allocated.
-func TestTopKStreamAllocsIndependentOfN(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unstable under the race detector (sync.Pool)")
-	}
-	ctx := context.Background()
-	allocsAt := func(n int, measure string) float64 {
-		rng := rand.New(rand.NewSource(9))
-		edges := make([][2]int, 0, 4*n)
-		for i := 0; i < 4*n; i++ {
-			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
-		}
-		eng := simstar.NewEngine(simstar.GraphFromEdges(n, edges),
-			simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1))
-		// Warm the pools.
-		for w := 0; w < 3; w++ {
-			if _, err := eng.TopKStream(ctx, measure, w, 10); err != nil {
-				t.Fatal(err)
-			}
-		}
-		q := 0
-		return testing.AllocsPerRun(30, func() {
-			s, err := eng.TopKStream(ctx, measure, q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Len() == 0 {
-				t.Fatal("empty stream")
-			}
-			q = (q + 1) % 16
-		})
-	}
-	for _, measure := range []string{simstar.MeasureGeometric, simstar.MeasureRWR} {
-		small := allocsAt(512, measure)
-		large := allocsAt(8192, measure)
-		// The stream itself and its k-entry storage: a small constant,
-		// never a function of n.
-		if small > 4 || large > 4 {
-			t.Fatalf("%s: allocs/op small=%v large=%v, want <= 4", measure, small, large)
-		}
-		if large > small {
-			t.Fatalf("%s: allocs grew with n (%v -> %v)", measure, small, large)
-		}
 	}
 }

@@ -18,12 +18,3 @@ type Ranked = core.Ranked
 func TopK(scores []float64, k int, exclude ...int) []Ranked {
 	return core.TopK(scores, k, exclude...)
 }
-
-// TopKInto is TopK writing into caller-provided storage: the result is
-// built in dst's backing array, grown only when its capacity is below the
-// clamped k. Entries and order are identical to TopK. With cap(dst) >=
-// min(k, len(scores)) and a short exclusion list the call performs zero
-// heap allocations, which is what the streaming serving paths run on.
-func TopKInto(scores []float64, k int, dst []Ranked, exclude ...int) []Ranked {
-	return core.TopKInto(scores, k, dst, exclude...)
-}
