@@ -132,15 +132,12 @@ func (t *engineTarget) run(ctx context.Context, o op) (uint64, error) {
 			d.score(r.Node, r.Score)
 		}
 	case opStream:
-		st, err := t.eng.TopKStream(ctx, o.measure, o.node, o.k)
-		if err != nil {
-			return 0, err
+		// The one-query BatchTopK simserve runs for a streamed read.
+		res := t.eng.BatchTopK(ctx, []simstar.Query{{Measure: o.measure, Node: o.node, K: o.k}})[0]
+		if res.Err != nil {
+			return 0, res.Err
 		}
-		for {
-			r, ok := st.Next()
-			if !ok {
-				break
-			}
+		for _, r := range res.Top {
 			d.score(r.Node, r.Score)
 		}
 	case opBatch:

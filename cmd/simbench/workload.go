@@ -22,7 +22,7 @@ type opKind int
 const (
 	opSingle    opKind = iota // exact single-source score vector
 	opTopK                    // materialised ranked top-k
-	opStream                  // lazy TopKStream / NDJSON stream
+	opStream                  // NDJSON-streamed top-k (one-query BatchTopK in engine mode)
 	opBatch                   // multi-query BatchTopK round
 	opTolerance               // certified approximate single-source
 	opKindCount

@@ -28,6 +28,8 @@ func (s *server) initMetrics() {
 	s.obsv = simstar.NewObserver(s.reg)
 	s.inflight = s.reg.Gauge("simserve_inflight_requests",
 		"HTTP requests currently being served.")
+	s.streams = s.reg.Counter("simserve_streams_total",
+		"NDJSON responses begun, top-k and batch.")
 	s.aborted = s.reg.Counter("simserve_streams_aborted_total",
 		"NDJSON streams cut short by a client disconnect mid-stream.")
 	s.reg.GaugeFunc("simserve_graph_loaded",

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/simstar"
 )
 
 // scrape fetches /metrics and parses the exposition text; every scrape must
@@ -70,11 +72,12 @@ func TestMetricsEndpointCountsRequests(t *testing.T) {
 		}
 	}
 	// Engine-side counters flow into the same registry: the single endpoint
-	// serves through a one-element batch, topk through BatchTopK, and the
-	// streamed topk through the stream path.
+	// serves through a one-element MultiSource and topk, streamed or not,
+	// through a one-element BatchTopK. The server counts the stream itself.
 	wantQueries := map[string]float64{
-		`simstar_queries_total{kind="batch"}`:  2 + 1 + 2, // 2 single + 1 topk + 2 batch slots
-		`simstar_queries_total{kind="stream"}`: 1,
+		`simstar_queries_total{kind="batch"}`:         2 + 1 + 1 + 2, // 2 single + 1 topk + 1 streamed topk + 2 batch slots
+		`simstar_queries_total{kind="single_source"}`: 0,
+		`simserve_streams_total`:                      1,
 	}
 	for key, want := range wantQueries {
 		if got := vals[key]; got != want {
@@ -208,6 +211,136 @@ func TestTraceParameter(t *testing.T) {
 	}
 }
 
+// decodeRead returns what a query response says about its read: the cache
+// outcome and, under ?trace=1, the stage trace — from the body of a
+// materialised response, or from the header and trailer lines of a stream.
+func decodeRead(t *testing.T, body []byte, stream bool) (bool, *obs.Trace) {
+	t.Helper()
+	if !stream {
+		var resp struct {
+			Cached bool       `json:"cached"`
+			Trace  *obs.Trace `json:"trace"`
+		}
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Cached, resp.Trace
+	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	var header streamHeaderJSON
+	var trailer streamTrailerJSON
+	if err := json.Unmarshal([]byte(lines[0]), &header); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil {
+		t.Fatal(err)
+	}
+	if !trailer.Done {
+		t.Fatalf("stream not done: %s", body)
+	}
+	return header.Cached, trailer.Trace
+}
+
+// One HTTP read is one engine call, so it carries one name. However a read
+// of one key is encoded or traced — top-k plain, traced, streamed or both,
+// single plain or traced — it counts exactly once, under kind="batch", and
+// every trace of it names the canonical measure (never the request's
+// alias), the served epoch and a plan that agrees with its cache outcome.
+// A kernel span appears only on a miss, and a streamed trace is the
+// materialised one plus its "stream" stage.
+func TestOneReadOneName(t *testing.T) {
+	s, h := newTestServer(t)
+	loadTestGraph(t, h)
+	g := s.engine().Graph()
+	pre, _ := g.NodeByLabel("preprint")
+	clB, _ := g.NodeByLabel("classicB")
+
+	const topk = `{"measure":"GSR*","label":"review","k":3}`
+	const streamed = `{"measure":"GSR*","label":"review","k":3,"stream":true}`
+	const single = `{"measure":"GSR*","label":"review"}`
+	reads := []struct {
+		name, path, body string
+		stream, traced   bool
+	}{
+		{"topk", "/v1/query/topk", topk, false, false},
+		{"topk traced", "/v1/query/topk?trace=1", topk, false, true},
+		{"topk streamed", "/v1/query/topk", streamed, true, false},
+		{"topk traced streamed", "/v1/query/topk?trace=1", streamed, true, true},
+		{"single", "/v1/query/single", single, false, false},
+		{"single traced", "/v1/query/single?trace=1", single, false, true},
+	}
+	var epoch uint64
+	edits := 0
+	// Round one edits before every read, so each read meets a fresh epoch
+	// and misses; round two repeats the reads on the last epoch, all hits.
+	for _, miss := range []bool{true, false} {
+		var materialised []string // the traced top-k's stages this round
+		for _, rd := range reads {
+			if miss {
+				op := "insert"
+				if edits%2 == 1 {
+					op = "delete"
+				}
+				edits++
+				rec := doJSON(t, h, "POST", "/v1/edges", map[string]any{op: [][2]int{{pre, clB}}})
+				var er editsResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusOK {
+					t.Fatalf("edit: %d: %s", rec.Code, rec.Body)
+				}
+				epoch = er.Epoch
+			}
+			before := scrape(t, h)
+			rec := doJSON(t, h, "POST", rd.path, json.RawMessage(rd.body))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d: %s", rd.name, rec.Code, rec.Body)
+			}
+			after := scrape(t, h)
+			for _, kind := range []string{"single_source", "batch", "all_pairs"} {
+				key := fmt.Sprintf("simstar_queries_total{kind=%q}", kind)
+				want := 0.0
+				if kind == "batch" {
+					want = 1
+				}
+				if d := after[key] - before[key]; d != want {
+					t.Errorf("%s: %s moved by %g, want %g", rd.name, key, d, want)
+				}
+			}
+			cached, tr := decodeRead(t, rec.Body.Bytes(), rd.stream)
+			if cached == miss {
+				t.Fatalf("%s: cached = %v, want %v", rd.name, cached, !miss)
+			}
+			if (tr != nil) != rd.traced {
+				t.Fatalf("%s: trace present = %v, want %v", rd.name, tr != nil, rd.traced)
+			}
+			if tr == nil {
+				continue
+			}
+			if tr.Measure != simstar.MeasureGeometric || tr.Epoch != epoch || tr.Cached != cached {
+				t.Errorf("%s: trace names %q at epoch %d, cached %v; want %q at epoch %d, cached %v",
+					rd.name, tr.Measure, tr.Epoch, tr.Cached, simstar.MeasureGeometric, epoch, cached)
+			}
+			if (tr.Plan == "cache") != cached {
+				t.Errorf("%s: plan %q with cached = %v", rd.name, tr.Plan, cached)
+			}
+			var stages []string
+			for _, sp := range tr.Spans {
+				stages = append(stages, sp.Stage)
+			}
+			if slices.Contains(stages, "kernel") == cached {
+				t.Errorf("%s: stages %v with cached = %v", rd.name, stages, cached)
+			}
+			switch rd.name {
+			case "topk traced":
+				materialised = stages
+			case "topk traced streamed":
+				if want := append(slices.Clone(materialised), "stream"); !slices.Equal(stages, want) {
+					t.Errorf("streamed trace stages %v, want the materialised %v plus stream", stages, materialised)
+				}
+			}
+		}
+	}
+}
+
 // /v1/stats must be schema-stable: the same keys in the no-graph and loaded
 // states, with cumulative query counts from the shared observer.
 func TestStatsSchemaStable(t *testing.T) {
@@ -299,7 +432,7 @@ func TestMetricsScrapeDuringChurn(t *testing.T) {
 		`simserve_requests_total{route="single"}`,
 		`simserve_requests_total{route="edges"}`,
 		`simstar_queries_total{kind="batch"}`,
-		`simstar_queries_total{kind="stream"}`,
+		`simserve_streams_total`,
 		"simstar_kernel_sweeps_total",
 	}
 	prev := map[string]float64{}

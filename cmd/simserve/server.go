@@ -44,9 +44,11 @@ type server struct {
 	obsv *simstar.Observer
 	// inflight gauges requests currently being served.
 	inflight *obs.Gauge
-	// aborted counts NDJSON streams cut short by a client disconnect
-	// mid-stream — the 499s that never reach an access log because the
-	// status line already said 200.
+	// streams counts NDJSON responses begun (top-k and batch); aborted
+	// counts those cut short by a client disconnect mid-stream — the 499s
+	// that never reach an access log because the status line already said
+	// 200.
+	streams *obs.Counter
 	aborted *obs.Counter
 	// logRequests turns on the per-request access log line; main() sets it,
 	// tests leave it off.
@@ -362,9 +364,11 @@ type cacheStatsJSON struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// queryCountsJSON reports the cumulative queries answered since the process
-// started, by engine query kind. Sourced from the shared observer, so the
-// counts survive graph swaps (unlike the per-engine cache stats).
+// queryCountsJSON reports cumulative counts since the process started, so
+// they survive graph swaps (unlike the per-engine cache stats).
+// SingleSource and Batch are the engine queries by kind, from the shared
+// observer; every HTTP read counts under Batch. Stream is the NDJSON
+// responses begun, top-k and batch, from the server's own counter.
 type queryCountsJSON struct {
 	SingleSource uint64 `json:"single_source"`
 	Stream       uint64 `json:"stream"`
@@ -392,7 +396,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		Queries: queryCountsJSON{
 			SingleSource: uint64(snap[`simstar_queries_total{kind="single_source"}`]),
-			Stream:       uint64(snap[`simstar_queries_total{kind="stream"}`]),
+			Stream:       s.streams.Value(),
 			Batch:        uint64(snap[`simstar_queries_total{kind="batch"}`]),
 		},
 		UptimeMs:       float64(time.Since(s.started).Microseconds()) / 1e3,
@@ -554,32 +558,17 @@ func (s *server) handleSingle(w http.ResponseWriter, r *http.Request) {
 	}
 	degraded := s.maybeDegrade(&q, qj.wantsTolerance())
 	if traceWanted(r) {
-		qe := eng
-		if len(q.Opts) > 0 {
-			qe = eng.With(q.Opts...)
-		}
-		scores, tr, err := qe.TraceSingleSource(r.Context(), q.Measure, q.Node)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, singleResponse{
-			Measure:  q.Measure,
-			Node:     q.Node,
-			Label:    labelOf(eng.Graph(), q.Node),
-			Cached:   tr.Cached,
-			MaxError: tr.MaxError,
-			Scores:   scores,
-			Degraded: degraded,
-			Trace:    tr,
-		})
-		return
+		q.Trace = &obs.Trace{}
 	}
+	start := time.Now()
 	// One-element batch: same cache, same validation, same kernels.
 	res := eng.MultiSource(r.Context(), []simstar.Query{q})[0]
 	if res.Err != nil {
 		writeError(w, http.StatusBadRequest, res.Err)
 		return
+	}
+	if q.Trace != nil {
+		q.Trace.Finish(start)
 	}
 	writeJSON(w, http.StatusOK, singleResponse{
 		Measure:  q.Measure,
@@ -589,6 +578,7 @@ func (s *server) handleSingle(w http.ResponseWriter, r *http.Request) {
 		MaxError: res.MaxError,
 		Scores:   res.Scores,
 		Degraded: degraded,
+		Trace:    q.Trace,
 	})
 }
 
@@ -640,36 +630,23 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	degraded := s.maybeDegrade(&q, qj.wantsTolerance())
-	if qj.Stream {
-		s.streamTopK(w, r, eng, q, qj.wantsTolerance() || degraded, degraded, traceWanted(r))
-		return
-	}
 	if traceWanted(r) {
-		qe := eng
-		if len(q.Opts) > 0 {
-			qe = eng.With(q.Opts...)
-		}
-		top, tr, err := qe.TraceTopK(r.Context(), q.Measure, q.Node, q.K, q.Exclude...)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, topKResponse{
-			Measure:  q.Measure,
-			Node:     q.Node,
-			Label:    labelOf(eng.Graph(), q.Node),
-			Cached:   tr.Cached,
-			MaxError: tr.MaxError,
-			Top:      rankedList(eng.Graph(), top),
-			Degraded: degraded,
-			Trace:    tr,
-		})
-		return
+		q.Trace = &obs.Trace{}
 	}
+	start := time.Now()
+	// One-element batch, streamed or not: an error still answers as plain
+	// JSON, before a stream's first byte.
 	res := eng.BatchTopK(r.Context(), []simstar.Query{q})[0]
 	if res.Err != nil {
 		writeError(w, http.StatusBadRequest, res.Err)
 		return
+	}
+	if qj.Stream {
+		s.streamTopK(w, r, eng.Graph(), q, res, qj.wantsTolerance() || degraded, degraded, start)
+		return
+	}
+	if q.Trace != nil {
+		q.Trace.Finish(start)
 	}
 	writeJSON(w, http.StatusOK, topKResponse{
 		Measure:  q.Measure,
@@ -679,6 +656,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		MaxError: res.MaxError,
 		Top:      rankedList(eng.Graph(), res.Top),
 		Degraded: degraded,
+		Trace:    q.Trace,
 	})
 }
 

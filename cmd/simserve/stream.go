@@ -84,7 +84,10 @@ type streamWriter struct {
 	err error
 }
 
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
+// newStreamWriter commits the 200 status line of an NDJSON response and
+// counts the stream as begun.
+func (s *server) newStreamWriter(w http.ResponseWriter) *streamWriter {
+	s.streams.Inc()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
@@ -120,45 +123,21 @@ func (s *server) abort(sw *streamWriter, count int, err error) {
 	sw.line(trailer)
 }
 
-// streamTopK answers one topk query as NDJSON, emitted entry by entry from
-// the engine's TopKStream, which selects from the same cached score vector
-// as an unstreamed topk read. Errors before the first byte map to ordinary
-// JSON error responses; after that the stream owns the connection.
-func (s *server) streamTopK(w http.ResponseWriter, r *http.Request, eng *simstar.Engine, q simstar.Query, tolerance, degraded, traced bool) {
-	qe := eng
-	if len(q.Opts) > 0 {
-		qe = eng.With(q.Opts...)
-	}
-	// The ?trace=1 trace of a stream covers the serving stages — kernel
-	// (stream construction, where all scoring happens) and the emission loop
-	// — and rides in the trailer once both spans have closed.
-	var tr *obs.Trace
-	start := time.Now()
-	st, err := qe.TopKStream(r.Context(), q.Measure, q.Node, q.K, q.Exclude...)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if traced {
-		tr = &obs.Trace{
-			Measure:  q.Measure,
-			Node:     q.Node,
-			K:        q.K,
-			Epoch:    qe.Epoch(),
-			Cached:   st.Cached(),
-			MaxError: st.MaxError(),
-		}
-		tr.AddSpan("kernel", time.Since(start))
-	}
-	g := eng.Graph()
-	sw := newStreamWriter(w)
+// streamTopK writes an answered topk query as NDJSON: the header line, one
+// line per ranked entry and the trailer, from the one-query BatchTopK
+// result the handler already holds, so every error came back before the
+// first byte. Under ?trace=1 the query's trace, with the emission loop as
+// its "stream" span, rides in the trailer; start is the instant its total
+// time runs from.
+func (s *server) streamTopK(w http.ResponseWriter, r *http.Request, g *simstar.Graph, q simstar.Query, res simstar.Result, tolerance, degraded bool, start time.Time) {
+	sw := s.newStreamWriter(w)
 	if !sw.line(streamHeaderJSON{
 		Measure:  q.Measure,
 		Node:     q.Node,
 		Label:    labelOf(g, q.Node),
 		K:        q.K,
-		Cached:   st.Cached(),
-		MaxError: st.MaxError(),
+		Cached:   res.Cached,
+		MaxError: res.MaxError,
 		Degraded: degraded,
 	}) {
 		s.aborted.Inc()
@@ -166,7 +145,7 @@ func (s *server) streamTopK(w http.ResponseWriter, r *http.Request, eng *simstar
 	}
 	count := 0
 	emit := time.Now()
-	for {
+	for _, rk := range res.Top {
 		// The drain hard cap force-closes even a healthy stream: the 499
 		// trailer tells the client the server, not the network, ended it.
 		if s.drainForced.Load() {
@@ -177,13 +156,9 @@ func (s *server) streamTopK(w http.ResponseWriter, r *http.Request, eng *simstar
 			s.abort(sw, count, err)
 			return
 		}
-		rk, ok := st.Next()
-		if !ok {
-			break
-		}
 		entry := streamEntryJSON{Node: rk.Node, Label: labelOf(g, rk.Node), Score: rk.Score}
 		if tolerance {
-			me := st.MaxError()
+			me := res.MaxError
 			entry.MaxError = &me
 		}
 		if !sw.line(entry) {
@@ -192,11 +167,11 @@ func (s *server) streamTopK(w http.ResponseWriter, r *http.Request, eng *simstar
 		}
 		count++
 	}
-	if tr != nil {
+	if tr := q.Trace; tr != nil {
 		tr.AddSpan("stream", time.Since(emit))
 		tr.Finish(start)
 	}
-	sw.line(streamTrailerJSON{Done: true, Count: count, Trace: tr})
+	sw.line(streamTrailerJSON{Done: true, Count: count, Trace: q.Trace})
 }
 
 // streamBatch unrolls an assembled batch response into NDJSON: header, one
@@ -204,7 +179,7 @@ func (s *server) streamTopK(w http.ResponseWriter, r *http.Request, eng *simstar
 // with a context check between each, so a consumer of a long batch starts
 // acting on early results while later ones are still in flight on the wire.
 func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, results []batchResultJSON, tr *obs.Trace, start time.Time) {
-	sw := newStreamWriter(w)
+	sw := s.newStreamWriter(w)
 	if !sw.line(streamBatchHeaderJSON{Count: len(results)}) {
 		s.aborted.Inc()
 		return

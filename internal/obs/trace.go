@@ -4,8 +4,9 @@ import "time"
 
 // Span is one timed stage of a query trace.
 type Span struct {
-	// Stage names the lifecycle stage: "plan", "cache", "kernel",
-	// "select", "assemble" or "stream".
+	// Stage names the lifecycle stage: "plan", "cache", "kernel" and
+	// "select" for one query; "batch" (the engine call) and "assemble" for
+	// a request-level batch trace; "stream" for an NDJSON emission loop.
 	Stage string `json:"stage"`
 	// DurationUs is the stage's wall time in microseconds.
 	DurationUs float64 `json:"duration_us"`
@@ -80,8 +81,9 @@ func (t *KernelTrace) AddSieveSpend(spent float64) {
 
 // Trace is the structured record of one query's path through the engine:
 // which stages ran, how long each took, whether the result cache answered,
-// and what the kernels reported. Engine.TraceSingleSource/TraceTopK return
-// it; cmd/simserve embeds it in JSON responses under ?trace=1.
+// and what the kernels reported. simstar fills it for a batch query that
+// carries one in Query.Trace; cmd/simserve embeds it in JSON responses
+// under ?trace=1.
 type Trace struct {
 	// Measure is the canonical measure name the query resolved to.
 	Measure string `json:"measure"`

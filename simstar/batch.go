@@ -2,7 +2,9 @@ package simstar
 
 import (
 	"context"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -24,6 +26,13 @@ type Query struct {
 	// exactly as Engine.With would apply them (so structure-shaping options
 	// like WithMiner do not re-mine; see Engine.With).
 	Opts []Option
+	// Trace, when non-nil, receives the query's stage trace: the canonical
+	// measure, the pinned epoch, the plan/cache/kernel spans, the plan, the
+	// certificate and the kernel detail, plus — for BatchTopK — a "select"
+	// span and K. A duplicate of an earlier query in the batch receives a
+	// copy of the trace of the computation it shares. The caller stamps
+	// Finish. Tracing changes the cost, never the answer.
+	Trace *obs.Trace
 }
 
 // Result is the outcome of one Query in a batch. Results are positional:
@@ -83,11 +92,13 @@ func (e *Engine) BatchTopK(ctx context.Context, queries []Query) []Result {
 }
 
 // batchGroup is the queries of one batch that share a cache key: idx lists
-// their positions, the representative (which computes) first, and eng
-// carries the representative's per-query options.
+// their positions, the representative (which computes) first, eng carries
+// the representative's per-query options, and tr is the trace the
+// computation fills — the first one the group's queries carry, or nil.
 type batchGroup struct {
 	eng *Engine
 	idx []int
+	tr  *obs.Trace
 }
 
 // batch is the shared implementation of MultiSource and BatchTopK. The
@@ -108,10 +119,13 @@ func (e *Engine) batch(ctx context.Context, queries []Query, topk bool) []Result
 		key := eng.resultKey(st, q.Measure, q.Node)
 		if g, seen := byKey[key]; seen {
 			groups[g].idx = append(groups[g].idx, i)
+			if groups[g].tr == nil {
+				groups[g].tr = q.Trace
+			}
 			continue
 		}
 		byKey[key] = len(groups)
-		groups = append(groups, batchGroup{eng: eng, idx: []int{i}})
+		groups = append(groups, batchGroup{eng: eng, idx: []int{i}, tr: q.Trace})
 	}
 
 	results := make([]Result, len(queries))
@@ -119,16 +133,28 @@ func (e *Engine) batch(ctx context.Context, queries []Query, topk bool) []Result
 	par.ForEachCtx(ctx, len(groups), e.cfg.workers, func(j int) {
 		g := groups[j]
 		q := queries[g.idx[0]]
-		// count=false: the whole batch was counted under kind=batch above.
-		scores, maxErr, cached, err := g.eng.singleSourceObs(ctx, st, q.Measure, q.Node, false, nil)
+		scores, maxErr, cached, err := g.eng.singleSourceObs(ctx, st, q.Measure, q.Node, g.tr)
+		var spans int // the computation's stages, before any select span
+		if g.tr != nil {
+			spans = len(g.tr.Spans)
+		}
 		for d, i := range g.idx {
+			q := queries[i]
+			if tr := q.Trace; tr != nil && tr != g.tr {
+				*tr = *g.tr
+				tr.Spans = append([]obs.Span(nil), g.tr.Spans[:spans]...)
+			}
 			switch {
 			case err != nil:
 				results[i] = Result{Err: err}
 			case topk:
 				// Rankings select straight from the shared vector.
-				q := queries[i]
+				t0 := time.Now()
 				top := TopK(scores, q.K, append([]int{q.Node}, q.Exclude...)...)
+				if q.Trace != nil {
+					q.Trace.AddSpan("select", time.Since(t0))
+					q.Trace.K = q.K
+				}
 				results[i] = Result{Top: top, Cached: cached, MaxError: maxErr}
 			case d == 0:
 				results[i] = Result{Scores: e.own(scores), Cached: cached, MaxError: maxErr}

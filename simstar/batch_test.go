@@ -105,6 +105,36 @@ func TestBatchProbesCacheOncePerKey(t *testing.T) {
 	check("one-query miss", 2, 3)
 }
 
+// tieGraph is a deterministic 24-node digraph with hubs, chains and plenty
+// of equal-score candidates, so tie-breaking is actually exercised.
+func tieGraph(t testing.TB) *simstar.Graph {
+	t.Helper()
+	const n = 24
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		edges = append(edges, [2]int{i, (i + 1) % n})
+		if i%2 == 0 {
+			edges = append(edges, [2]int{i, 0}) // hub: many identical in-profiles
+		}
+		if i%3 == 0 {
+			edges = append(edges, [2]int{i, (i + n/2) % n})
+		}
+	}
+	return simstar.GraphFromEdges(n, edges)
+}
+
+func rankedSliceEqual(a, b []simstar.Ranked) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // BatchTopK must agree with Engine.TopK query by query, including the
 // exclusion list and the K boundary cases.
 func TestBatchTopKMatchesTopK(t *testing.T) {
@@ -116,6 +146,7 @@ func TestBatchTopKMatchesTopK(t *testing.T) {
 		{Measure: simstar.MeasureRWR, Node: 1, K: 2, Exclude: []int{0}},
 		{Measure: simstar.MeasureExponential, Node: 2, K: 0},        // boundary: empty
 		{Measure: simstar.MeasureGeometric, Node: 3, K: 10 * g.N()}, // boundary: everything
+		{Measure: simstar.MeasureRWR, Node: 4, K: -3},               // boundary: empty
 	}
 	results := eng.BatchTopK(ctx, queries)
 	for i, r := range results {
@@ -127,20 +158,77 @@ func TestBatchTopKMatchesTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Top) != len(want) {
-			t.Fatalf("query %d: %d ranked, want %d", i, len(r.Top), len(want))
-		}
-		for j := range want {
-			if r.Top[j] != want[j] {
-				t.Fatalf("query %d: Top[%d] = %+v, want %+v", i, j, r.Top[j], want[j])
-			}
+		if !rankedSliceEqual(r.Top, want) {
+			t.Fatalf("query %d: Top = %v, want %v", i, r.Top, want)
 		}
 	}
-	if len(results[2].Top) != 0 {
-		t.Fatalf("K=0 query returned %d entries, want 0", len(results[2].Top))
+	if len(results[2].Top) != 0 || len(results[4].Top) != 0 {
+		t.Fatalf("K=0 and K=-3 queries returned %d and %d entries, want 0", len(results[2].Top), len(results[4].Top))
 	}
 	if len(results[3].Top) != g.N()-1 {
 		t.Fatalf("oversized-K query returned %d entries, want all %d candidates", len(results[3].Top), g.N()-1)
+	}
+}
+
+// The one-query BatchTopK, the call every served top-k read makes (streamed
+// or not), must match TopK bitwise — order, scores, tie-breaks — and carry
+// SingleSourceCertified's certificate, for every registered measure, exact
+// and tolerance-certified, with either read running first so both the cold
+// (kernel, cache fill) and the warm (cache-probe) batch are compared.
+func TestBatchTopKMatchesTopKAllMeasures(t *testing.T) {
+	ctx := context.Background()
+	tg := tieGraph(t)
+	base := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithRank(6)}
+	for _, v := range []struct {
+		name string
+		opts []simstar.Option
+	}{
+		{"exact", nil},
+		{"tolerance", []simstar.Option{simstar.WithTolerance(1e-3)}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			eng := simstar.NewEngine(tg, append(append([]simstar.Option{}, base...), v.opts...)...)
+			for _, name := range simstar.Names() {
+				t.Run(name, func(t *testing.T) {
+					for qi, q := range []int{0, 5, 13} {
+						for ki, k := range []int{1, 5, tg.N() + 10} {
+							topK := func() []simstar.Ranked {
+								top, err := eng.TopK(ctx, name, q, k, 2)
+								if err != nil {
+									t.Fatal(err)
+								}
+								return top
+							}
+							var want []simstar.Ranked
+							if qi%2 == 0 {
+								want = topK()
+							}
+							res := eng.BatchTopK(ctx, []simstar.Query{{Measure: name, Node: q, K: k, Exclude: []int{2}}})[0]
+							if res.Err != nil {
+								t.Fatal(res.Err)
+							}
+							if want == nil {
+								want = topK()
+							}
+							if !rankedSliceEqual(res.Top, want) {
+								t.Fatalf("q=%d k=%d: one-query BatchTopK %v != TopK %v", q, k, res.Top, want)
+							}
+							// Only the very first read of a key misses.
+							if wantCached := qi%2 == 0 || ki > 0; res.Cached != wantCached {
+								t.Fatalf("q=%d k=%d: Cached = %v, want %v", q, k, res.Cached, wantCached)
+							}
+							_, wantErr, err := eng.SingleSourceCertified(ctx, name, q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if res.MaxError != wantErr {
+								t.Fatalf("q=%d k=%d: MaxError %g, SingleSourceCertified %g", q, k, res.MaxError, wantErr)
+							}
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -184,27 +272,33 @@ func TestMultiSourcePerQueryOverrides(t *testing.T) {
 	}
 }
 
-// One bad query must fail alone, not take the batch down with it.
+// One bad query must fail alone, not take the batch down with it, in
+// either batch call.
 func TestMultiSourcePerQueryErrors(t *testing.T) {
 	g := toyGraph(t)
 	eng := simstar.NewEngine(g, simstar.WithK(4))
-	results := eng.MultiSource(context.Background(), []simstar.Query{
-		{Measure: simstar.MeasureGeometric, Node: 0},
-		{Measure: "no-such-measure", Node: 0},
-		{Measure: simstar.MeasureGeometric, Node: g.N() + 5},
-		{Measure: simstar.MeasureRWR, Node: 2},
-	})
-	if results[0].Err != nil || results[3].Err != nil {
-		t.Fatalf("good queries failed: %v, %v", results[0].Err, results[3].Err)
+	queries := []simstar.Query{
+		{Measure: simstar.MeasureGeometric, Node: 0, K: 3},
+		{Measure: "no-such-measure", Node: 0, K: 3},
+		{Measure: simstar.MeasureGeometric, Node: g.N() + 5, K: 3},
+		{Measure: simstar.MeasureRWR, Node: 2, K: 3},
 	}
-	if results[1].Err == nil {
-		t.Fatal("unknown measure must error")
-	}
-	if results[2].Err == nil {
-		t.Fatal("out-of-range node must error")
-	}
-	if results[1].Scores != nil || results[2].Scores != nil {
-		t.Fatal("failed queries must not carry scores")
+	for _, results := range [][]simstar.Result{
+		eng.MultiSource(context.Background(), queries),
+		eng.BatchTopK(context.Background(), queries),
+	} {
+		if results[0].Err != nil || results[3].Err != nil {
+			t.Fatalf("good queries failed: %v, %v", results[0].Err, results[3].Err)
+		}
+		if results[1].Err == nil {
+			t.Fatal("unknown measure must error")
+		}
+		if results[2].Err == nil {
+			t.Fatal("out-of-range node must error")
+		}
+		if results[1].Scores != nil || results[2].Scores != nil || results[1].Top != nil || results[2].Top != nil {
+			t.Fatal("failed queries must not carry answers")
+		}
 	}
 }
 
@@ -254,7 +348,7 @@ func (m countingMeasure) SingleSource(ctx context.Context, g *simstar.Graph, q i
 func TestMultiSourceDeduplicatesFanOut(t *testing.T) {
 	const name = "test-counting"
 	var calls int64
-	simstar.Register(name, func(opts ...simstar.Option) simstar.Measure {
+	simstar.RegisterForTest(t, name, func(opts ...simstar.Option) simstar.Measure {
 		return countingMeasure{name: name, calls: &calls}
 	})
 	g := toyGraph(t)

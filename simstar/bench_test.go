@@ -121,15 +121,52 @@ func BenchmarkBatchSerialSingleSource(b *testing.B) {
 	}
 }
 
-// TopK on top of a cached single-source query: the full serving path.
+// BenchmarkEngineTopK times the top-k read path on the 4096-node graph,
+// one sub-benchmark per cache outcome and engine call:
+//
+//   - miss: TopK cycling every node through the 256-entry cache, so each
+//     read runs the kernel and fills the cache with the vector it keeps;
+//   - hit: TopK over a few warmed nodes, the read topk_hot serves, ranked
+//     straight from the shared cache entry;
+//   - batch1-hit: the same hits through a one-query BatchTopK, the engine
+//     call every served top-k read makes, streamed or not.
 func BenchmarkEngineTopK(b *testing.B) {
 	g := benchmarkGraph(b)
-	eng := simstar.NewEngine(g, simstar.WithK(5))
 	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.TopK(ctx, simstar.MeasureGeometric, i%g.N(), 10); err != nil {
-			b.Fatal(err)
+	const k, warm = 10, 8
+	engine := func(b *testing.B) *simstar.Engine {
+		eng := simstar.NewEngine(g, simstar.WithK(5))
+		for q := 0; q < warm; q++ {
+			if _, err := eng.TopK(ctx, simstar.MeasureGeometric, q, k); err != nil {
+				b.Fatal(err)
+			}
 		}
+		b.ResetTimer()
+		return eng
 	}
+	b.Run("miss", func(b *testing.B) {
+		eng := engine(b)
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.TopK(ctx, simstar.MeasureGeometric, warm+i%(g.N()-warm), k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		eng := engine(b)
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.TopK(ctx, simstar.MeasureGeometric, i%warm, k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("batch1-hit", func(b *testing.B) {
+		eng := engine(b)
+		for i := 0; i < b.N; i++ {
+			res := eng.BatchTopK(ctx, []simstar.Query{{Measure: simstar.MeasureGeometric, Node: i % warm, K: k}})
+			if res[0].Err != nil {
+				b.Fatal(res[0].Err)
+			}
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/simstar"
 )
 
@@ -66,7 +67,7 @@ func TestCacheReturnsPrivateCopies(t *testing.T) {
 	const q = 0
 	n := g.N()
 	keeping := keepingMeasure{name: "test-keeps-slice", last: new(atomic.Pointer[[]float64])}
-	simstar.Register(keeping.name, func(...simstar.Option) simstar.Measure { return keeping })
+	simstar.RegisterForTest(t, keeping.name, func(...simstar.Option) simstar.Measure { return keeping })
 
 	type vectorRead func(eng *simstar.Engine, measure string) ([]float64, error)
 	singleSource := func(eng *simstar.Engine, m string) ([]float64, error) {
@@ -83,8 +84,8 @@ func TestCacheReturnsPrivateCopies(t *testing.T) {
 		}
 	}
 	traced := func(eng *simstar.Engine, m string) ([]float64, error) {
-		scores, _, err := eng.TraceSingleSource(ctx, m, q)
-		return scores, err
+		res := eng.MultiSource(ctx, []simstar.Query{{Measure: m, Node: q, Trace: &obs.Trace{}}})
+		return res[0].Scores, res[0].Err
 	}
 	into := func(eng *simstar.Engine, m string) ([]float64, error) {
 		return eng.SingleSourceInto(ctx, m, q, nil)
@@ -96,7 +97,7 @@ func TestCacheReturnsPrivateCopies(t *testing.T) {
 		{"SingleSource", singleSource},
 		{"SingleSourceCertified", certified},
 		{"MultiSource", multiSlot(0)},
-		{"TraceSingleSource", traced},
+		{"MultiSource/traced", traced},
 		{"SingleSourceInto", into},
 	}
 	rankReads := []struct {
@@ -106,15 +107,12 @@ func TestCacheReturnsPrivateCopies(t *testing.T) {
 		{"TopK", func(eng *simstar.Engine, m string) ([]simstar.Ranked, error) {
 			return eng.TopK(ctx, m, q, n)
 		}},
-		{"TopKStream", func(eng *simstar.Engine, m string) ([]simstar.Ranked, error) {
-			s, err := eng.TopKStream(ctx, m, q, n)
-			if err != nil {
-				return nil, err
-			}
-			return s.Collect(), nil
-		}},
 		{"BatchTopK", func(eng *simstar.Engine, m string) ([]simstar.Ranked, error) {
 			res := eng.BatchTopK(ctx, []simstar.Query{{Measure: m, Node: q, K: n}})
+			return res[0].Top, res[0].Err
+		}},
+		{"BatchTopK/traced", func(eng *simstar.Engine, m string) ([]simstar.Ranked, error) {
+			res := eng.BatchTopK(ctx, []simstar.Query{{Measure: m, Node: q, K: n, Trace: &obs.Trace{}}})
 			return res[0].Top, res[0].Err
 		}},
 	}
@@ -134,7 +132,7 @@ func TestCacheReturnsPrivateCopies(t *testing.T) {
 		{"SingleSourceCertified", simstar.MeasureGeometric, certified, overwriteResult},
 		{"MultiSource/representative", simstar.MeasureGeometric, multiSlot(0), overwriteResult},
 		{"MultiSource/duplicate", simstar.MeasureGeometric, multiSlot(1), overwriteResult},
-		{"TraceSingleSource", simstar.MeasureGeometric, traced, overwriteResult},
+		{"MultiSource/traced", simstar.MeasureGeometric, traced, overwriteResult},
 		{"SingleSourceInto/no-kernel-row", simstar.MeasureSimRank, into, overwriteResult},
 		{"Measure/keeps-returned-slice", keeping.name, singleSource, func([]float64) { keeping.scribble() }},
 	} {
@@ -314,7 +312,7 @@ func (m namedConstant) Name() string { return m.name }
 // registry generation is part of the key.
 func TestCacheInvalidatedByRegistryOverride(t *testing.T) {
 	const name = "test-cache-gen"
-	simstar.Register(name, func(opts ...simstar.Option) simstar.Measure {
+	simstar.RegisterForTest(t, name, func(opts ...simstar.Option) simstar.Measure {
 		return namedConstant{name: name}
 	})
 	g := toyGraph(t)
@@ -329,7 +327,7 @@ func TestCacheInvalidatedByRegistryOverride(t *testing.T) {
 	if st := eng.CacheStats(); st.Hits != 1 {
 		t.Fatalf("warm-up did not hit: %+v", st)
 	}
-	simstar.Register(name, func(opts ...simstar.Option) simstar.Measure {
+	simstar.RegisterForTest(t, name, func(opts ...simstar.Option) simstar.Measure {
 		return namedConstant{name: name}
 	})
 	if _, err := eng.SingleSource(ctx, name, 0); err != nil {

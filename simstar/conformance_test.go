@@ -168,7 +168,7 @@ func TestAllFamiliesRegistered(t *testing.T) {
 // Custom registration: applications can plug their own measures into the
 // registry and select them by name like any built-in.
 func TestRegisterCustomMeasure(t *testing.T) {
-	simstar.Register("test-constant", func(opts ...simstar.Option) simstar.Measure {
+	simstar.RegisterForTest(t, "test-constant", func(opts ...simstar.Option) simstar.Measure {
 		return constantMeasure{}
 	})
 	m, err := simstar.Lookup("test-constant")

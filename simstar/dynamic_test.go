@@ -52,7 +52,7 @@ func churn(rng *rand.Rand, n int, set map[[2]int]bool, count int) []simstar.Edit
 }
 
 // pooledAnswers runs query node q down the kernel-running read paths
-// (Into and stream on pooled workspaces, sieved, batched) and returns each
+// (Into and TopK on pooled workspaces, sieved, batched) and returns each
 // answer under the path's name.
 func pooledAnswers(t *testing.T, eng *simstar.Engine, q int) map[string]any {
 	t.Helper()
@@ -61,13 +61,9 @@ func pooledAnswers(t *testing.T, eng *simstar.Engine, q int) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := eng.TopKStream(ctx, simstar.MeasureExponential, q, 5)
+	top, err := eng.TopK(ctx, simstar.MeasureExponential, q, 5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var streamed []simstar.Ranked
-	for r, ok := stream.Next(); ok; r, ok = stream.Next() {
-		streamed = append(streamed, r)
 	}
 	sieved, err := eng.With(simstar.WithTolerance(1e-3)).SingleSource(ctx, simstar.MeasureGeometric, q)
 	if err != nil {
@@ -84,7 +80,7 @@ func pooledAnswers(t *testing.T, eng *simstar.Engine, q int) map[string]any {
 	}
 	return map[string]any{
 		"SingleSourceInto": into,
-		"TopKStream":       streamed,
+		"TopK":             top,
 		"WithTolerance":    sieved,
 		"BatchTopK":        [][]simstar.Ranked{batch[0].Top, batch[1].Top},
 	}

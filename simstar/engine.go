@@ -366,7 +366,10 @@ func (e *Engine) cacheLookup(key cacheKey) ([]float64, float64, bool) {
 // singleSource is singleSourceObs counted under kind=single_source and
 // untraced: the form SingleSourceCertified, SingleSourceInto and TopK run.
 func (e *Engine) singleSource(ctx context.Context, st *engineState, measureName string, q int) ([]float64, float64, bool, error) {
-	return e.singleSourceObs(ctx, st, measureName, q, true, nil)
+	if o := e.cfg.observer; o != nil {
+		o.qSingle.Inc()
+	}
+	return e.singleSourceObs(ctx, st, measureName, q, nil)
 }
 
 // singleSourceObs is the read path every single-source and top-k query
@@ -374,16 +377,13 @@ func (e *Engine) singleSource(ctx context.Context, st *engineState, measureName 
 // result-cache probe, the kernel on a miss, then the cache fill. With the
 // cache on, the vector it returns is the shared cache entry, which no one
 // may write: top-k callers select straight from it, and callers that hand
-// a vector out copy it through own. count=false suppresses the per-query
-// counter for callers that count under their own kind (batch fan-out,
-// streams); tr, when non-nil, receives the staged trace — the
-// plan/cache/kernel spans, the cache outcome and the kernel detail — with
-// the caller owning the final Finish stamp.
-func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureName string, q int, count bool, tr *obs.Trace) ([]float64, float64, bool, error) {
+// a vector out copy it through own. The caller counts the query under its
+// own kind (singleSource under single_source, batch under batch); tr, when
+// non-nil, receives the staged trace — the canonical measure, the pinned
+// epoch, the plan/cache/kernel spans, the plan, the certificate and the
+// kernel detail — with the caller owning the final Finish stamp.
+func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureName string, q int, tr *obs.Trace) ([]float64, float64, bool, error) {
 	o := e.cfg.observer
-	if count && o != nil {
-		o.qSingle.Inc()
-	}
 	ctx, cancel := e.cfg.deadlineCtx(ctx)
 	if cancel != nil {
 		defer cancel()

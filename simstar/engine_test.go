@@ -187,10 +187,10 @@ func TestEngineStats(t *testing.T) {
 // built-in name is TestRegistryOverrideDisplacesKernelRow's case.
 func TestEngineHonoursRegistryOverride(t *testing.T) {
 	const name = "test-override-rwr"
-	simstar.Register(name, func(opts ...simstar.Option) simstar.Measure {
+	simstar.RegisterForTest(t, name, func(opts ...simstar.Option) simstar.Measure {
 		return constantMeasure{}
 	})
-	simstar.RegisterAlias("test-override-alias", name)
+	simstar.RegisterAliasForTest(t, "test-override-alias", name)
 	g := toyGraph(t)
 	eng := simstar.NewEngine(g)
 	for _, query := range []string{name, "test-override-alias"} {

@@ -131,7 +131,7 @@ func kernelsFor(measureName string) *kernelFamily {
 }
 
 // runExact is the shared work of every exact fast-path query — single,
-// Into, streamed and batched alike. It borrows a pooled workspace, fires
+// Into, top-k and batched alike. It borrows a pooled workspace, fires
 // the fault hook and runs row k's exact kernel for node q into dst
 // (length n). kt, when non-nil, receives the kernel detail for a trace;
 // otherwise, with an observer attached, the trace is borrowed from the

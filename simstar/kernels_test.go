@@ -31,11 +31,7 @@ func (onesMeasure) SingleSource(ctx context.Context, g *Graph, q int) ([]float64
 // by alias, and HasCertifiedPath stops promising a certificate the override
 // cannot give.
 func TestRegistryOverrideDisplacesKernelRow(t *testing.T) {
-	registry.RLock()
-	builtin := registry.factories[MeasureRWR]
-	registry.RUnlock()
-	t.Cleanup(func() { register(MeasureRWR, builtin) })
-	Register(MeasureRWR, func(...Option) Measure { return onesMeasure{} })
+	RegisterForTest(t, MeasureRWR, func(...Option) Measure { return onesMeasure{} })
 
 	const q, k = 3, 4
 	ctx := context.Background()
@@ -73,11 +69,11 @@ func TestRegistryOverrideDisplacesKernelRow(t *testing.T) {
 		scores, err = eng.SingleSourceInto(ctx, name, q, nil)
 		wantOnes("SingleSourceInto", scores, err)
 
-		stream, err := eng.TopKStream(ctx, name, q, k)
+		top, err := eng.TopK(ctx, name, q, k)
 		if err != nil {
-			t.Fatalf("%s TopKStream: %v", name, err)
+			t.Fatalf("%s TopK: %v", name, err)
 		}
-		wantRanked("TopKStream", stream.Collect())
+		wantRanked("TopK", top)
 
 		res := eng.BatchTopK(ctx, []Query{{Measure: name, Node: q, K: k}})[0]
 		if res.Err != nil {

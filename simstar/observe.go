@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the engine's observability surface: the Observer that
-// aggregates query/cache/kernel counters into an obs.Registry, and the
-// Trace* query variants that return a structured per-stage record of one
-// query. The hooks threading through the serving paths are nilable and
-// explicitly guarded, so an engine without an observer pays one branch per
-// hook and the //simstar:noalloc paths stay allocation-free with
+// aggregates query/cache/kernel counters into an obs.Registry. A structured
+// per-stage record of one query comes from Query.Trace, which MultiSource
+// and BatchTopK fill. The hooks threading through the serving paths are
+// nilable and explicitly guarded, so an engine without an observer pays one
+// branch per hook and the //simstar:noalloc paths stay allocation-free with
 // observation on or off (asserted in observe_test.go, enforced by simlint's
 // obsnoop analyzer).
 
@@ -27,7 +27,6 @@ type Observer struct {
 	reg *obs.Registry
 
 	qSingle   *obs.Counter
-	qStream   *obs.Counter
 	qBatch    *obs.Counter
 	qAllPairs *obs.Counter
 
@@ -48,7 +47,7 @@ type Observer struct {
 // (nil means a fresh private registry, read back through Registry). The
 // families:
 //
-//	simstar_queries_total{kind}            counter   queries served, by kind (single_source, stream, batch, all_pairs)
+//	simstar_queries_total{kind}            counter   queries served, by engine call (single_source, batch, all_pairs)
 //	simstar_cache_hits_total               counter   result-cache hits
 //	simstar_cache_misses_total             counter   result-cache misses
 //	simstar_kernel_sweeps_total            counter   kernel matrix sweeps
@@ -66,9 +65,8 @@ func NewObserver(reg *obs.Registry) *Observer {
 	}
 	o := &Observer{reg: reg}
 	const qName = "simstar_queries_total"
-	const qHelp = "Queries served, by kind: single_source covers SingleSource/TopK and their variants, stream covers TopKStream, batch counts every query inside MultiSource/BatchTopK, all_pairs counts AllPairs calls."
+	const qHelp = "Queries served, by engine call: single_source counts SingleSource, SingleSourceCertified, SingleSourceInto and TopK calls, batch counts every query of MultiSource/BatchTopK, all_pairs counts AllPairs calls."
 	o.qSingle = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "single_source"})
-	o.qStream = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "stream"})
 	o.qBatch = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "batch"})
 	o.qAllPairs = reg.Counter(qName, qHelp, obs.Label{Name: "kind", Value: "all_pairs"})
 	o.cacheHits = reg.Counter("simstar_cache_hits_total",
@@ -131,39 +129,3 @@ func (o *Observer) observeCancel(ctx context.Context, err error) {
 // Metrics returns the engine's observer: the one WithObserver configured,
 // or nil when the engine runs unobserved.
 func (e *Engine) Metrics() *Observer { return e.cfg.observer }
-
-// TraceSingleSource is SingleSourceCertified plus a structured trace of the
-// query's path through the engine: the plan/cache/kernel stages with wall
-// times, whether the result cache answered, the certified MaxError, and —
-// when a kernel ran — its sweep, frontier and sieve detail. The trace is
-// freshly allocated per call; tracing changes the cost, never the scores.
-func (e *Engine) TraceSingleSource(ctx context.Context, measureName string, q int) ([]float64, *obs.Trace, error) {
-	st := e.load()
-	tr := &obs.Trace{}
-	start := time.Now()
-	scores, _, _, err := e.singleSourceObs(ctx, st, measureName, q, true, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr.Finish(start)
-	return e.own(scores), tr, nil
-}
-
-// TraceTopK is TopK plus the same structured trace TraceSingleSource
-// returns, extended with a "select" span covering the ranking step and the
-// trace's K field.
-func (e *Engine) TraceTopK(ctx context.Context, measureName string, q, k int, exclude ...int) ([]Ranked, *obs.Trace, error) {
-	st := e.load()
-	tr := &obs.Trace{}
-	start := time.Now()
-	scores, _, _, err := e.singleSourceObs(ctx, st, measureName, q, true, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	t0 := time.Now()
-	top := TopK(scores, k, append([]int{q}, exclude...)...)
-	tr.AddSpan("select", time.Since(t0))
-	tr.K = k
-	tr.Finish(start)
-	return top, tr, nil
-}

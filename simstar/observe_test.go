@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -45,8 +46,10 @@ func TestObserverCountsQueries(t *testing.T) {
 	if _, err := eng.TopK(ctx, simstar.MeasureRWR, 5, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.TopKStream(ctx, simstar.MeasureGeometric, 7, 4); err != nil {
-		t.Fatal(err)
+	// A traced one-query read counts once, under batch, like any other.
+	traced := eng.BatchTopK(ctx, []simstar.Query{{Measure: simstar.MeasureGeometric, Node: 7, K: 4, Trace: &obs.Trace{}}})
+	if traced[0].Err != nil {
+		t.Fatal(traced[0].Err)
 	}
 	res := eng.BatchTopK(ctx, []simstar.Query{
 		{Measure: simstar.MeasureGeometric, Node: 1, K: 3},
@@ -65,14 +68,19 @@ func TestObserverCountsQueries(t *testing.T) {
 	snap := o.Registry().Snapshot()
 	wantCounts := map[string]float64{
 		`simstar_queries_total{kind="single_source"}`: 3, // 2 SingleSource + TopK
-		`simstar_queries_total{kind="stream"}`:        1,
-		`simstar_queries_total{kind="batch"}`:         3,
+		`simstar_queries_total{kind="batch"}`:         4, // traced read + 3 batch slots
 		`simstar_queries_total{kind="all_pairs"}`:     1,
 		`simstar_cache_hits_total`:                    1,
 	}
 	for key, want := range wantCounts {
 		if got := snap[key]; got != want {
 			t.Errorf("%s = %g, want %g", key, got, want)
+		}
+	}
+	// kind names the engine call, and there are exactly three of them.
+	for key := range snap {
+		if _, ok := wantCounts[key]; !ok && strings.HasPrefix(key, "simstar_queries_total{") {
+			t.Errorf("unexpected query series %s", key)
 		}
 	}
 	if snap["simstar_cache_misses_total"] < 5 {
@@ -97,13 +105,27 @@ func TestObserverCountsQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	if parsed[`simstar_queries_total{kind="batch"}`] != 3 {
+	if parsed[`simstar_queries_total{kind="batch"}`] != 4 {
 		t.Error("rendered exposition disagrees with snapshot")
 	}
 }
 
-// Traces must stage the query lifecycle and agree with the untraced APIs.
-func TestTraceSingleSourceAndTopK(t *testing.T) {
+// stageSet returns the stages a trace recorded, failing on a negative span.
+func stageSet(t *testing.T, tr *obs.Trace) map[string]bool {
+	t.Helper()
+	stages := make(map[string]bool)
+	for _, sp := range tr.Spans {
+		stages[sp.Stage] = true
+		if sp.DurationUs < 0 {
+			t.Fatalf("negative span duration: %+v", sp)
+		}
+	}
+	return stages
+}
+
+// Query.Trace must stage the query lifecycle through MultiSource and
+// BatchTopK and agree with the untraced APIs.
+func TestTraceMultiSourceAndBatchTopK(t *testing.T) {
 	g := dataset.RMATDefault(8, 4, 11)
 	ctx := context.Background()
 	eng := simstar.NewEngine(g)
@@ -113,32 +135,30 @@ func TestTraceSingleSourceAndTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.PurgeCache()
-	scores, tr, err := eng.TraceSingleSource(ctx, simstar.MeasureGeometric, 9)
-	if err != nil {
-		t.Fatal(err)
+	tr := &obs.Trace{}
+	start := time.Now()
+	res := eng.MultiSource(ctx, []simstar.Query{{Measure: "GSR*", Node: 9, Trace: tr}})[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	for i := range want {
-		if scores[i] != want[i] {
-			t.Fatalf("traced scores differ at %d", i)
-		}
+	tr.Finish(start)
+	if j := firstBitDiff(res.Scores, want); j >= 0 {
+		t.Fatalf("traced scores differ at %d", j)
 	}
-	if tr.Measure != simstar.MeasureGeometric || tr.Node != 9 {
-		t.Fatalf("trace identity wrong: %+v", tr)
+	if tr.Measure != simstar.MeasureGeometric || tr.Node != 9 || tr.Epoch != eng.Epoch() {
+		t.Fatalf("trace identity wrong (want the canonical name and the served epoch): %+v", tr)
 	}
-	if tr.Cached {
-		t.Fatal("fresh query reported cached")
+	if tr.Cached || res.Cached || tr.Plan != "exact" {
+		t.Fatalf("fresh query: cached=%v/%v plan=%q, want a kernel run", tr.Cached, res.Cached, tr.Plan)
 	}
-	stages := make(map[string]bool)
-	for _, sp := range tr.Spans {
-		stages[sp.Stage] = true
-		if sp.DurationUs < 0 {
-			t.Fatalf("negative span duration: %+v", sp)
-		}
-	}
+	stages := stageSet(t, tr)
 	for _, stage := range []string{"plan", "cache", "kernel"} {
 		if !stages[stage] {
 			t.Errorf("trace missing %q span (got %v)", stage, tr.Spans)
 		}
+	}
+	if stages["select"] || tr.K != 0 {
+		t.Errorf("MultiSource trace carries top-k detail: K=%d spans=%v", tr.K, tr.Spans)
 	}
 	if tr.Kernel.Sweeps == 0 {
 		t.Error("trace kernel detail missing sweep count")
@@ -148,41 +168,59 @@ func TestTraceSingleSourceAndTopK(t *testing.T) {
 	}
 
 	// Second trace of the same query: a cache hit with no kernel stage.
-	_, tr2, err := eng.TraceSingleSource(ctx, simstar.MeasureGeometric, 9)
-	if err != nil {
-		t.Fatal(err)
+	tr2 := &obs.Trace{}
+	if res := eng.MultiSource(ctx, []simstar.Query{{Measure: simstar.MeasureGeometric, Node: 9, Trace: tr2}})[0]; res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if !tr2.Cached || tr2.Kernel.Sweeps != 0 {
-		t.Fatalf("cached trace wrong: cached=%v kernel=%+v", tr2.Cached, tr2.Kernel)
+	if !tr2.Cached || tr2.Plan != "cache" || tr2.Kernel.Sweeps != 0 || stageSet(t, tr2)["kernel"] {
+		t.Fatalf("cached trace wrong: cached=%v plan=%q kernel=%+v spans=%v", tr2.Cached, tr2.Plan, tr2.Kernel, tr2.Spans)
 	}
 
 	wantTop, err := eng.TopK(ctx, simstar.MeasureRWR, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, trk, err := eng.TraceTopK(ctx, simstar.MeasureRWR, 4, 5)
-	if err != nil {
-		t.Fatal(err)
+	trk := &obs.Trace{}
+	top := eng.BatchTopK(ctx, []simstar.Query{{Measure: simstar.MeasureRWR, Node: 4, K: 5, Trace: trk}})[0]
+	if top.Err != nil {
+		t.Fatal(top.Err)
 	}
-	if len(top) != len(wantTop) {
-		t.Fatalf("traced TopK returned %d entries, want %d", len(top), len(wantTop))
+	if !rankedSliceEqual(top.Top, wantTop) {
+		t.Fatalf("traced BatchTopK %v, want %v", top.Top, wantTop)
 	}
-	for i := range wantTop {
-		if top[i] != wantTop[i] {
-			t.Fatalf("traced TopK disagrees at %d: %+v vs %+v", i, top[i], wantTop[i])
+	if trk.K != 5 || !stageSet(t, trk)["select"] {
+		t.Fatalf("BatchTopK trace: K=%d spans=%v, want K=5 and a select span", trk.K, trk.Spans)
+	}
+
+	// A traced duplicate receives a copy of the trace of the computation it
+	// shares plus its own select span, whether or not the query that
+	// computes is traced.
+	for _, repTraced := range []bool{true, false} {
+		eng.PurgeCache()
+		var rep *obs.Trace
+		if repTraced {
+			rep = &obs.Trace{}
 		}
-	}
-	if trk.K != 5 {
-		t.Fatalf("TopK trace K = %d", trk.K)
-	}
-	found := false
-	for _, sp := range trk.Spans {
-		if sp.Stage == "select" {
-			found = true
+		dup := &obs.Trace{}
+		for i, r := range eng.BatchTopK(ctx, []simstar.Query{
+			{Measure: simstar.MeasureGeometric, Node: 3, K: 2, Trace: rep},
+			{Measure: "gsr*", Node: 3, K: 6, Trace: dup},
+		}) {
+			if r.Err != nil {
+				t.Fatalf("query %d: %v", i, r.Err)
+			}
 		}
-	}
-	if !found {
-		t.Errorf("TopK trace missing select span: %v", trk.Spans)
+		var stages []string
+		for _, sp := range dup.Spans {
+			stages = append(stages, sp.Stage)
+		}
+		if dup.K != 6 || dup.Measure != simstar.MeasureGeometric || dup.Plan != "exact" || dup.Kernel.Sweeps == 0 ||
+			strings.Join(stages, ",") != "plan,cache,kernel,select" {
+			t.Fatalf("representative traced=%v: duplicate trace %+v, want the shared kernel run and K=6", repTraced, dup)
+		}
+		if repTraced && (rep.K != 2 || len(rep.Spans) != 4 || rep.Kernel != dup.Kernel || &rep.Spans[0] == &dup.Spans[0]) {
+			t.Fatalf("representative trace %+v, want K=2, its own four spans and the duplicate's kernel detail", rep)
+		}
 	}
 }
 
@@ -195,12 +233,16 @@ func TestTraceApproximateKernelDetail(t *testing.T) {
 	const tol = 1e-3
 	eng := simstar.NewEngine(g, simstar.WithObserver(o), simstar.WithTolerance(tol))
 
-	_, tr, err := eng.TraceSingleSource(ctx, simstar.MeasureGeometric, 2)
-	if err != nil {
-		t.Fatal(err)
+	tr := &obs.Trace{}
+	res := eng.MultiSource(ctx, []simstar.Query{{Measure: simstar.MeasureGeometric, Node: 2, Trace: tr}})[0]
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if tr.MaxError > tol {
-		t.Fatalf("MaxError %g exceeds tolerance %g", tr.MaxError, tol)
+	if tr.MaxError > tol || tr.MaxError != res.MaxError {
+		t.Fatalf("trace MaxError %g, result %g, tolerance %g", tr.MaxError, res.MaxError, tol)
+	}
+	if tr.Plan != "sieved" {
+		t.Errorf("approximate trace plan %q, want sieved", tr.Plan)
 	}
 	if tr.Kernel.FrontierMax == 0 {
 		t.Error("approximate trace missing frontier width")

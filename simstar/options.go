@@ -168,11 +168,12 @@ func WithBaseEpoch(epoch uint64) Option { return func(cfg *config) { cfg.baseEpo
 // at query entry the engine derives a context.WithTimeout(ctx, d) and the
 // kernels' amortised cancellation polls abort the run once it expires,
 // surfacing context.DeadlineExceeded. The budget is per query (each
-// SingleSource/TopK/stream call, each distinct query of a batch), layered
-// on top of whatever deadline the caller's own context already carries —
-// whichever fires first wins. 0, the default, imposes no engine-side budget. A
-// deadline changes how long a query may run, never what a completed query
-// returns, so it is excluded from result-cache keys.
+// SingleSource/SingleSourceInto/TopK call, each distinct query of a
+// MultiSource/BatchTopK batch), layered on top of whatever deadline the
+// caller's own context already carries — whichever fires first wins. 0, the
+// default, imposes no engine-side budget. A deadline changes how long a
+// query may run, never what a completed query returns, so it is excluded
+// from result-cache keys.
 func WithDeadline(d time.Duration) Option { return func(cfg *config) { cfg.deadline = d } }
 
 // WithFaultHook installs a fault-injection callback on the engine's kernel

@@ -24,9 +24,9 @@ import (
 var ErrKernelPanic = errors.New("simstar: kernel panic")
 
 // FaultPointKernel is the fault site name the engine reports to WithFaultHook
-// callbacks at each kernel entry — single-source, top-k stream, and each
-// distinct query of a batch alike. An Injector's Hook derives its trigger
-// points from it ("kernel.slow", "kernel.panic").
+// callbacks at each kernel entry — single-source, top-k, and each distinct
+// query of a batch alike. An Injector's Hook derives its trigger points
+// from it ("kernel.slow", "kernel.panic").
 const FaultPointKernel = "kernel"
 
 // HasCertifiedPath reports whether the named measure has a threshold-sieved

@@ -25,8 +25,8 @@ func TestKernelPanicIsolated(t *testing.T) {
 	if _, err := boom.SingleSource(ctx, simstar.MeasureGeometric, 1); !errors.Is(err, simstar.ErrKernelPanic) {
 		t.Fatalf("SingleSource: got %v, want ErrKernelPanic", err)
 	}
-	if _, err := boom.TopKStream(ctx, simstar.MeasureRWR, 1, 3); !errors.Is(err, simstar.ErrKernelPanic) {
-		t.Fatalf("TopKStream: got %v, want ErrKernelPanic", err)
+	if _, err := boom.TopK(ctx, simstar.MeasureRWR, 1, 3); !errors.Is(err, simstar.ErrKernelPanic) {
+		t.Fatalf("TopK: got %v, want ErrKernelPanic", err)
 	}
 	if _, err := boom.SingleSourceInto(ctx, simstar.MeasureExponential, 1, nil); !errors.Is(err, simstar.ErrKernelPanic) {
 		t.Fatalf("SingleSourceInto: got %v, want ErrKernelPanic", err)
@@ -109,13 +109,12 @@ func TestExpiredDeadlineCountedOnEveryEntryPoint(t *testing.T) {
 			_, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, 1, nil)
 			return err
 		}, 1},
-		{"TopKStream", func(ctx context.Context, eng *simstar.Engine) error {
-			_, err := eng.TopKStream(ctx, simstar.MeasureGeometric, 1, 3)
+		{"TopK", func(ctx context.Context, eng *simstar.Engine) error {
+			_, err := eng.TopK(ctx, simstar.MeasureGeometric, 1, 3)
 			return err
 		}, 1},
-		{"TopKStream-sieved", func(ctx context.Context, eng *simstar.Engine) error {
-			_, err := eng.With(simstar.WithTolerance(1e-3)).TopKStream(ctx, simstar.MeasureGeometric, 1, 3)
-			return err
+		{"BatchTopK-sieved", func(ctx context.Context, eng *simstar.Engine) error {
+			return batchErr(eng.With(simstar.WithTolerance(1e-3)).BatchTopK(ctx, batch[:1]))
 		}, 1},
 		{"BatchTopK", func(ctx context.Context, eng *simstar.Engine) error {
 			return batchErr(eng.BatchTopK(ctx, batch))

@@ -12,7 +12,7 @@ import (
 )
 
 // The soak contract: under concurrent ApplyEdits/Snapshot churn, every
-// MultiSource, BatchTopK and TopKStream answer must be bitwise-identical to
+// MultiSource, BatchTopK and TopK answer must be bitwise-identical to
 // a from-scratch engine at SOME materialised epoch — a query pins one
 // atomic engineState and never sees a torn mix of two. The schedule is
 // seeded and the op budget fixed, so the test is reproducible; it is run
@@ -194,7 +194,7 @@ func TestSoakConcurrentQueriesDuringChurn(t *testing.T) {
 		}
 	}()
 
-	// Readers: seeded schedules of MultiSource / BatchTopK / TopKStream.
+	// Readers: seeded schedules of MultiSource / BatchTopK / TopK.
 	// Every answer must match one epoch's reference bitwise, and both
 	// queries of one batch must match the SAME epoch — the no-torn-reads
 	// assertion across the atomic state swap.
@@ -246,13 +246,13 @@ func TestSoakConcurrentQueriesDuringChurn(t *testing.T) {
 						return
 					}
 				default:
-					s, err := eng.TopKStream(ctx, m, q, soakK)
+					top, err := eng.TopK(ctx, m, q, soakK)
 					if err != nil {
 						t.Errorf("op %d: %v", op, err)
 						return
 					}
-					if len(epochsMatchingTop(refs, m, q, s.Collect())) == 0 {
-						t.Errorf("op %d: TopKStream answer matches no epoch", op)
+					if len(epochsMatchingTop(refs, m, q, top)) == 0 {
+						t.Errorf("op %d: TopK answer matches no epoch", op)
 						return
 					}
 				}
