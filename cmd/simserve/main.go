@@ -124,6 +124,9 @@ func main() {
 		}
 		return opts
 	}
+	if err := checkIterations(nil, opts()); err != nil {
+		log.Fatalf("simserve: -k: %v", err)
+	}
 
 	// Startup graph: a warm-restart snapshot wins over -graph, because it is
 	// the later state — it carries the epochs of every mutation served since
@@ -151,8 +154,9 @@ func main() {
 			}
 		}
 		if g != nil {
-			eng := simstar.NewEngine(g, srv.engineOptions(append(opts(), simstar.WithBaseEpoch(epoch)))...)
-			srv.swap(eng)
+			engOpts := srv.engineOptions(append(opts(), simstar.WithBaseEpoch(epoch)))
+			eng := simstar.NewEngine(g, engOpts...)
+			srv.swap(eng, engOpts...)
 			st := eng.Stats()
 			log.Printf("simserve: serving %s: %d nodes, %d edges, epoch %d (compression %.1f%% in %v)",
 				src, st.Nodes, st.Edges, st.Epoch, st.CompressionRatio, st.CompressionTime.Round(time.Millisecond))

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,8 +27,11 @@ import (
 // request needs flows through its context, so client disconnects and server
 // shutdown cancel the kernels mid-iteration.
 type server struct {
-	mu      sync.RWMutex
-	eng     *simstar.Engine
+	mu  sync.RWMutex
+	eng *simstar.Engine
+	// engOpts are the options eng was built with: a query's iteration count
+	// resolves against them plus its own (see maxIterations).
+	engOpts []simstar.Option
 	loaded  time.Time
 	started time.Time
 	served  atomic.Int64
@@ -89,12 +93,13 @@ func (s *server) engine() *simstar.Engine {
 	return s.eng
 }
 
-// swap installs a freshly-built engine. The previous engine's result cache
-// dies with it — exactly the invalidation-on-graph-change the cache design
-// wants, with no epochs or locks on the query path.
-func (s *server) swap(eng *simstar.Engine) {
+// swap installs a freshly-built engine and the options it was built with.
+// The previous engine's result cache dies with it — exactly the
+// invalidation-on-graph-change the cache design wants, with no epochs or
+// locks on the query path.
+func (s *server) swap(eng *simstar.Engine, opts ...simstar.Option) {
 	s.mu.Lock()
-	s.eng = eng
+	s.eng, s.engOpts = eng, opts
 	s.loaded = time.Now()
 	s.mu.Unlock()
 }
@@ -163,12 +168,28 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // bulk data and get a generous cap; query payloads are small by nature.
 // maxGraphNodes bounds the node-id space the same way — a 30-byte request
 // naming node 10⁹ must not allocate gigabytes of CSR offsets (and ids past
-// int32 would silently wrap in the graph builder).
+// int32 would silently wrap in the graph builder). maxIterations bounds the
+// iteration count options may resolve: the SimRank* kernels take K+3
+// n-float vectors (the sieved kernel K+3 frontiers) before their first
+// sweep, which no deadline can stop — ~0.8 GB at K = 1,000 on a 100k-node
+// graph.
 const (
 	maxGraphBody  = 1 << 30 // 1 GiB of edge list
 	maxQueryBody  = 8 << 20 // 8 MiB of queries
 	maxGraphNodes = 1 << 24 // ~16.8M nodes
+	maxIterations = 100
 )
+
+// checkIterations rejects options under which a query would run more than
+// maxIterations iterations; opts apply on top of base, the served engine's
+// options. Every built-in measure resolves at most
+// simstar.IterationsGeometric's count from c, k and eps.
+func checkIterations(base, opts []simstar.Option) error {
+	if k := simstar.IterationsGeometric(slices.Concat(base, opts)...); k > maxIterations {
+		return fmt.Errorf("options resolve %d iterations, over the limit of %d", k, maxIterations)
+	}
+	return nil
+}
 
 // optionsJSON is the wire form of the simstar options a request may set.
 // Pointers distinguish "absent" from zero so e.g. {"k": 0} still means
@@ -277,6 +298,10 @@ func (s *server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		}
 		req.EdgeList = string(raw)
 	}
+	if err := checkIterations(nil, req.Options.options()); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	var g *simstar.Graph
 	switch {
 	case req.EdgeList != "" && req.Edges != nil:
@@ -313,8 +338,9 @@ func (s *server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("need edge_list or edges"))
 		return
 	}
-	eng := simstar.NewEngine(g, s.engineOptions(req.Options.options())...)
-	s.swap(eng)
+	opts := s.engineOptions(req.Options.options())
+	eng := simstar.NewEngine(g, opts...)
+	s.swap(eng, opts...)
 	writeJSON(w, http.StatusOK, engineStatsJSON(eng.Stats()))
 }
 
@@ -469,8 +495,9 @@ func (q *queryJSON) resolveNode(g *simstar.Graph) (int, error) {
 	}
 }
 
-// toQuery converts the wire form to a batch Query.
-func (q *queryJSON) toQuery(g *simstar.Graph) (simstar.Query, error) {
+// toQuery converts the wire form to a batch Query on g, served by an engine
+// built with base.
+func (q *queryJSON) toQuery(g *simstar.Graph, base []simstar.Option) (simstar.Query, error) {
 	node, err := q.resolveNode(g)
 	if err != nil {
 		return simstar.Query{}, err
@@ -492,6 +519,9 @@ func (q *queryJSON) toQuery(g *simstar.Graph) (simstar.Query, error) {
 		opts = append(opts, simstar.WithDeadline(time.Duration(q.DeadlineMS)*time.Millisecond))
 	}
 	opts = append(opts, q.Options.options()...)
+	if err := checkIterations(base, opts); err != nil {
+		return simstar.Query{}, err
+	}
 	return simstar.Query{
 		Measure: q.Measure,
 		Node:    node,
@@ -501,23 +531,26 @@ func (q *queryJSON) toQuery(g *simstar.Graph) (simstar.Query, error) {
 	}, nil
 }
 
-// requireEngine fetches the current engine or answers 409.
-func (s *server) requireEngine(w http.ResponseWriter) *simstar.Engine {
-	eng := s.engine()
+// requireEngine fetches the current engine and the options it was built
+// with, or answers 409.
+func (s *server) requireEngine(w http.ResponseWriter) (*simstar.Engine, []simstar.Option) {
+	s.mu.RLock()
+	eng, opts := s.eng, s.engOpts
+	s.mu.RUnlock()
 	if eng == nil {
 		writeError(w, http.StatusConflict, errors.New("no graph loaded; POST /v1/graph first"))
 	}
-	return eng
+	return eng, opts
 }
 
-func decodeQuery(w http.ResponseWriter, r *http.Request, g *simstar.Graph) (simstar.Query, *queryJSON, bool) {
+func decodeQuery(w http.ResponseWriter, r *http.Request, g *simstar.Graph, base []simstar.Option) (simstar.Query, *queryJSON, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
 	var qj queryJSON
 	if err := json.NewDecoder(r.Body).Decode(&qj); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding query: %w", err))
 		return simstar.Query{}, nil, false
 	}
-	q, err := qj.toQuery(g)
+	q, err := qj.toQuery(g, base)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return simstar.Query{}, nil, false
@@ -544,11 +577,11 @@ type singleResponse struct {
 }
 
 func (s *server) handleSingle(w http.ResponseWriter, r *http.Request) {
-	eng := s.requireEngine(w)
+	eng, base := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
-	q, qj, ok := decodeQuery(w, r, eng.Graph())
+	q, qj, ok := decodeQuery(w, r, eng.Graph(), base)
 	if !ok {
 		return
 	}
@@ -621,11 +654,11 @@ type topKResponse struct {
 }
 
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	eng := s.requireEngine(w)
+	eng, base := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
-	q, qj, ok := decodeQuery(w, r, eng.Graph())
+	q, qj, ok := decodeQuery(w, r, eng.Graph(), base)
 	if !ok {
 		return
 	}
@@ -699,7 +732,7 @@ type batchResponse struct {
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	eng := s.requireEngine(w)
+	eng, base := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
@@ -739,7 +772,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	slot := make([]int, 0, len(req.Queries))
 	degraded := make([]bool, 0, len(req.Queries))
 	for i := range req.Queries {
-		q, err := req.Queries[i].toQuery(g)
+		q, err := req.Queries[i].toQuery(g, base)
 		if err != nil {
 			resp.Results[i] = batchResultJSON{Label: req.Queries[i].Label, Error: err.Error()}
 			continue
@@ -876,7 +909,7 @@ func (s *server) handleEditEdges(w http.ResponseWriter, r *http.Request) {
 	for _, e := range req.Delete {
 		edits = append(edits, simstar.DeleteEdge(e[0], e[1]))
 	}
-	eng := s.requireEngine(w)
+	eng, _ := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
@@ -907,7 +940,7 @@ type snapshotResponse struct {
 // (write to a temp file, then rename, so a crash mid-write never corrupts
 // the warm-restart image). 409 when the server was started without one.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	eng := s.requireEngine(w)
+	eng, _ := s.requireEngine(w)
 	if eng == nil {
 		return
 	}

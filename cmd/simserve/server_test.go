@@ -536,3 +536,60 @@ func TestScoresAreFinite(t *testing.T) {
 		}
 	}
 }
+
+// Options that resolve more than maxIterations iterations are refused with a
+// 400 before any kernel runs: the SimRank* kernels allocate K+3 n-float
+// vectors up front, which a deadline cannot stop. A batch refuses only the
+// offending slot, and an over-limit graph load leaves the served engine as
+// it was.
+func TestIterationLimit(t *testing.T) {
+	s, h := newTestServer(t)
+	loadTestGraph(t, h)
+	wantRefused := func(rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "limit of 100") {
+			t.Fatalf("status %d: %s, want 400 naming the limit of 100", rec.Code, rec.Body)
+		}
+	}
+	wantRefused(doJSON(t, h, "POST", "/v1/query/topk", map[string]any{
+		"measure": "gsimrank*", "node": 0, "k": 3, "deadline_ms": 200,
+		"options": map[string]any{"k": 100000},
+	}))
+	wantRefused(doJSON(t, h, "POST", "/v1/query/single", map[string]any{
+		"measure": "esimrank*", "node": 0,
+		"options": map[string]any{"eps": 1e-300, "c": 0.99},
+	}))
+
+	rec := doJSON(t, h, "POST", "/v1/query/batch", map[string]any{
+		"mode": "topk",
+		"queries": []map[string]any{
+			{"measure": "gsimrank*", "node": 0, "k": 3},
+			{"measure": "esimrank*", "node": 1, "k": 3, "options": map[string]any{"k": 1000}},
+			{"measure": "esimrank*", "node": 2, "k": 3, "options": map[string]any{"k": maxIterations}},
+		},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", rec.Code, rec.Body)
+	}
+	var resp batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resp.Results[1].Error, "limit of 100") {
+		t.Fatalf("over-limit slot: %+v, want an error naming the limit", resp.Results[1])
+	}
+	for _, i := range []int{0, 2} {
+		if r := resp.Results[i]; r.Error != "" || len(r.Top) == 0 {
+			t.Fatalf("slot %d: %+v, want an answer", i, r)
+		}
+	}
+
+	before := s.engine()
+	wantRefused(doJSON(t, h, "POST", "/v1/graph", map[string]any{
+		"edge_list": testGraphEdgeList,
+		"options":   map[string]any{"k": maxIterations + 1},
+	}))
+	if s.engine() != before {
+		t.Fatal("a refused graph load replaced the served engine")
+	}
+}

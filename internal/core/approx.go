@@ -2,33 +2,34 @@ package core
 
 import (
 	"context"
-	"math"
 
+	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
 // Threshold-sieved approximate single-source SimRank*. The exact
-// single-source kernels sweep dense length-n vectors even when almost all
-// of the propagating mass is negligible; these variants keep the walk in a
-// sparse frontier, drop entries below an adaptive threshold each sweep, and
-// charge every drop against an error budget, so the result comes back with
-// a certified element-wise bound:
+// single-source kernel sweeps dense length-n vectors even when almost all
+// of the propagating mass is negligible; this variant keeps the walk in a
+// sparse frontier, drops entries below an adaptive threshold each sweep,
+// and charges every drop against an error budget, so the result comes back
+// with a certified element-wise bound:
 //
 //	|approx[i] − exact[i]| <= MaxError <= tol   for every node i,
 //
-// where "exact" is the corresponding dense kernel at the same Options
-// (i.e. the certificate bounds the sieving error, not the series
-// truncation both paths share). The sieve thresholds derive from the
-// geometric tail of the series: dropping mass from the β-th backward walk
-// vector can only reach the output through coefficients whose total weight
-// decays like C^β, so late sweeps tolerate proportionally larger drops.
+// where "exact" is the dense kernel at the same Options (i.e. the
+// certificate bounds the sieving error, not the series truncation both
+// paths share). It folds with the exact kernel's generic double loop over
+// the family's length-weight table, so one kernel serves both families, and
+// its certificate holds for any non-negative table: the sieve thresholds
+// derive from the tail of the table's coefficients, so late sweeps tolerate
+// proportionally larger drops.
 //
 // tol below sparse.MinCertTolerance disables dropping entirely; callers
-// that need bitwise equality with the exact kernels should dispatch to
-// those instead (the sparse accumulation order differs in the last few
-// ulps, which is what the certificate's sparse.CertSlack term covers).
+// that need bitwise equality with the exact kernel should dispatch to it
+// instead (the sparse accumulation order differs in the last few ulps,
+// which is what the certificate's sparse.CertSlack term covers).
 //
-// Both kernels take the backward transition matrix qm and its materialised
+// The kernel takes the backward transition matrix qm and its materialised
 // transpose qt: backward sweeps scatter through qm's rows, forward sweeps
 // through qt's (a forward product against a sparse frontier needs column
 // access to qm, i.e. rows of qt).
@@ -37,32 +38,36 @@ import (
 // single-source query with threshold sieving. It returns the scores and the
 // certified MaxError bound against SingleSourceGeometricFromTransition.
 func ApproxSingleSourceGeometricFromTransition(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options) ([]float64, float64, error) {
-	ws := newApproxGeoWS(qm.R, opt)
-	return ws.run(ctx, qm, qt, q, tol)
+	return newApproxWS(qm.R, opt.geometric(), opt).run(ctx, qm, qt, q, tol)
 }
 
-// approxGeoWS is the reusable workspace of the sieved geometric kernel: the
-// ping-pong frontiers and the per-α accumulators, all of dimension n, plus
-// the precomputed downstream tail weights.
-type approxGeoWS struct {
-	opt     Options
-	k       int
-	cur     *sparse.Frontier
-	spare   *sparse.Frontier
-	y       []*sparse.Frontier
-	weights []float64
+// ApproxSingleSourceExponentialFromTransition answers one exponential
+// single-source query with threshold sieving. It returns the scores and the
+// certified MaxError bound against SingleSourceExponentialFromTransition.
+func ApproxSingleSourceExponentialFromTransition(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options) ([]float64, float64, error) {
+	return newApproxWS(qm.R, opt.exponential(), opt).run(ctx, qm, qt, q, tol)
 }
 
-func newApproxGeoWS(n int, opt Options) *approxGeoWS {
-	opt = opt.withDefaults()
-	k := opt.IterationsGeometric()
-	ws := &approxGeoWS{
-		opt:     opt,
-		k:       k,
-		cur:     sparse.NewFrontier(n),
-		spare:   sparse.NewFrontier(n),
-		y:       make([]*sparse.Frontier, k+1),
-		weights: geoTailWeights(k, opt.C),
+// approxWS is the reusable workspace of the sieved kernel: the ping-pong
+// frontiers and the per-α accumulators, all of dimension n, plus the
+// precomputed downstream tail weights of table w.
+type approxWS struct {
+	w     weights
+	trace *obs.KernelTrace
+	cur   *sparse.Frontier
+	spare *sparse.Frontier
+	y     []*sparse.Frontier
+	tail  []float64
+}
+
+func newApproxWS(n int, w weights, opt Options) *approxWS {
+	ws := &approxWS{
+		w:     w,
+		trace: opt.Trace,
+		cur:   sparse.NewFrontier(n),
+		spare: sparse.NewFrontier(n),
+		y:     make([]*sparse.Frontier, w.k+1),
+		tail:  tailWeights(w),
 	}
 	for alpha := range ws.y {
 		ws.y[alpha] = sparse.NewFrontier(n)
@@ -70,31 +75,32 @@ func newApproxGeoWS(n int, opt Options) *approxGeoWS {
 	return ws
 }
 
-// geoTailWeights[β] bounds, element-wise on the final scores, the effect of
+// tailWeights[β] bounds, element-wise on the final scores, the effect of
 // dropping unit mass from the β-th backward walk vector w_β: the drop
 // propagates to every w_{β'} with β' >= β and from there into the output
-// through the series coefficients, so the weight is
+// through the table's coefficients, so the weight is
 //
-//	(1−C) · Σ_{β'=β}^{K} Σ_{α=0}^{K−β'} (C/2)^{α+β'} · binom(α+β', α),
+//	a_0 · Σ_{β'=β}^{K} Σ_{α=0}^{K−β'} rel(α+β') · binom(α+β', α).
 //
-// which is at most C^β (the geometric tail: the α-sum at level l = α+β'
-// telescopes to 2^l, and (1−C)·Σ_{l>=β} C^l <= C^β).
-func geoTailWeights(k int, c float64) []float64 {
-	half := c / 2
-	w := make([]float64, k+1)
-	for beta := 0; beta <= k; beta++ {
+// Every coefficient is non-negative, so this holds for any table. Summed by
+// level l = α+β', the binomials add up to at most 2ˡ, which bounds the
+// weight by a_0·Σ_{l>=β} rel(l)·2ˡ: C^β for the geometric table and C^β/β!
+// for the exponential one.
+func tailWeights(w weights) []float64 {
+	tail := make([]float64, w.k+1)
+	for beta := 0; beta <= w.k; beta++ {
 		var sum float64
-		for bp := beta; bp <= k; bp++ {
-			for alpha := 0; alpha+bp <= k; alpha++ {
-				sum += math.Pow(half, float64(alpha+bp)) * binom(alpha+bp, alpha)
+		for bp := beta; bp <= w.k; bp++ {
+			for alpha := 0; alpha+bp <= w.k; alpha++ {
+				sum += w.coef(alpha, bp)
 			}
 		}
-		w[beta] = (1 - c) * sum
+		tail[beta] = w.a0 * sum
 	}
-	return w
+	return tail
 }
 
-func (ws *approxGeoWS) reset() {
+func (ws *approxWS) reset() {
 	ws.cur.Reset()
 	ws.spare.Reset()
 	for _, f := range ws.y {
@@ -102,11 +108,10 @@ func (ws *approxGeoWS) reset() {
 	}
 }
 
-func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64) ([]float64, float64, error) {
+func (ws *approxWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64) ([]float64, float64, error) {
 	ws.reset()
-	k, opt := ws.k, ws.opt
-	half := opt.C / 2
-	tr := opt.Trace
+	w, tr := ws.w, ws.trace
+	k := w.k
 	// K backward sieve points plus K Horner sieve points.
 	budget := sparse.NewCertBudget(tol, 2*k)
 	budget.Trace = tr
@@ -123,21 +128,20 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 			next.Reset()
 			qm.ScatterMulT(next, cur) // next = Qᵀ·cur
 			cur, next = next, cur
-			budget.SieveMass(cur, ws.weights[beta])
+			budget.SieveMass(cur, ws.tail[beta])
 			if tr != nil {
 				tr.AddSweeps(1)
 				tr.ObserveFrontier(cur.Len())
 			}
 		}
 		for alpha := 0; alpha+beta <= k; alpha++ {
-			coef := math.Pow(half, float64(alpha+beta)) * binom(alpha+beta, alpha)
-			ws.y[alpha].AddScaled(coef, cur)
+			ws.y[alpha].AddScaled(w.coef(alpha, beta), cur)
 		}
 	}
 
 	// Horner: z = y_K; z = Q·z + y_α for α = K−1 .. 0, sieving z after each
 	// step. A drop at stage α still passes through Q^α (row sums <= 1) and
-	// the final (1−C) scale, so it is charged at weight (1−C) on its peak.
+	// the final a_0 scale, so it is charged at weight a_0 on its peak.
 	z, zbuf := ws.y[k], next
 	for alpha := k - 1; alpha >= 0; alpha-- {
 		if err := ctx.Err(); err != nil {
@@ -147,7 +151,7 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 		qt.ScatterMulT(zbuf, z) // zbuf = Q·z
 		z, zbuf = zbuf, z
 		z.AddScaled(1, ws.y[alpha])
-		budget.SievePeak(z, 1-opt.C)
+		budget.SievePeak(z, w.a0)
 		if tr != nil {
 			tr.AddSweeps(1)
 			tr.ObserveFrontier(z.Len())
@@ -157,110 +161,5 @@ func (ws *approxGeoWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol f
 	if tr != nil {
 		tr.Certificate = cert
 	}
-	return z.Dense(1 - opt.C), cert, nil
-}
-
-// ApproxSingleSourceExponentialFromTransition answers one exponential
-// single-source query with threshold sieving. It returns the scores and the
-// certified MaxError bound against SingleSourceExponentialFromTransition.
-func ApproxSingleSourceExponentialFromTransition(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64, opt Options) ([]float64, float64, error) {
-	ws := newApproxExpWS(qm.R, opt)
-	return ws.run(ctx, qm, qt, q, tol)
-}
-
-// approxExpWS is the sieved exponential kernel's workspace: two ping-pong
-// frontiers, the backward accumulator v and the output accumulator s, plus
-// the series coefficients (C/2)ʲ/j! and their suffix sums.
-type approxExpWS struct {
-	opt    Options
-	k      int
-	a, b   *sparse.Frontier
-	v, s   *sparse.Frontier
-	coef   []float64
-	suffix []float64
-}
-
-func newApproxExpWS(n int, opt Options) *approxExpWS {
-	opt = opt.withDefaults()
-	k := opt.IterationsExponential()
-	ws := &approxExpWS{
-		opt:    opt,
-		k:      k,
-		a:      sparse.NewFrontier(n),
-		b:      sparse.NewFrontier(n),
-		v:      sparse.NewFrontier(n),
-		s:      sparse.NewFrontier(n),
-		coef:   make([]float64, k+1),
-		suffix: make([]float64, k+2),
-	}
-	c := 1.0
-	for j := 0; j <= k; j++ {
-		ws.coef[j] = c
-		c *= opt.C / (2 * float64(j+1))
-	}
-	for j := k; j >= 0; j-- {
-		ws.suffix[j] = ws.suffix[j+1] + ws.coef[j]
-	}
-	return ws
-}
-
-func (ws *approxExpWS) run(ctx context.Context, qm, qt *sparse.CSR, q int, tol float64) ([]float64, float64, error) {
-	ws.a.Reset()
-	ws.b.Reset()
-	ws.v.Reset()
-	ws.s.Reset()
-	k := ws.k
-	scale := math.Exp(-ws.opt.C)
-	tr := ws.opt.Trace
-	budget := sparse.NewCertBudget(tol, 2*k)
-	budget.Trace = tr
-
-	// Backward: v = T_Kᵀ e_q = Σ_j coef_j·(Qᵀ)ʲ e_q. A drop of mass δ from
-	// the walk at state j reaches v with 1-norm weight suffix[j] and the
-	// output through e^{−C}·T_K, whose coefficient sum is suffix[0].
-	cur, next := ws.a, ws.b
-	cur.Add(int32(q), 1)
-	for j := 0; ; j++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		ws.v.AddScaled(ws.coef[j], cur)
-		if j == k {
-			break
-		}
-		next.Reset()
-		qm.ScatterMulT(next, cur)
-		cur, next = next, cur
-		budget.SieveMass(cur, scale*ws.suffix[0]*ws.suffix[j+1])
-		if tr != nil {
-			tr.AddSweeps(1)
-			tr.ObserveFrontier(cur.Len())
-		}
-	}
-
-	// Forward: s = T_K·v = Σ_i coef_i·Qⁱ v. A drop at state i passes only
-	// through forward powers (peak-bounded) with coefficient tail suffix[i].
-	fcur, fnext := ws.v, cur
-	for i := 0; ; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		ws.s.AddScaled(ws.coef[i], fcur)
-		if i == k {
-			break
-		}
-		fnext.Reset()
-		qt.ScatterMulT(fnext, fcur) // fnext = Q·fcur
-		fcur, fnext = fnext, fcur
-		budget.SievePeak(fcur, scale*ws.suffix[i+1])
-		if tr != nil {
-			tr.AddSweeps(1)
-			tr.ObserveFrontier(fcur.Len())
-		}
-	}
-	cert := budget.Certificate()
-	if tr != nil {
-		tr.Certificate = cert
-	}
-	return ws.s.Dense(scale), cert, nil
+	return z.Dense(w.a0), cert, nil
 }

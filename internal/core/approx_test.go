@@ -10,59 +10,6 @@ import (
 	"repro/internal/sparse"
 )
 
-// The sieved kernels' whole contract is the certificate: on any graph, for
-// any tolerance, the element-wise deviation from the exact kernel must stay
-// within the returned MaxError, which must stay within the tolerance.
-func TestApproxGeometricCertificate(t *testing.T) {
-	ctx := context.Background()
-	for _, tol := range []float64{1e-2, 1e-3, 1e-5, 1e-7} {
-		for seed := int64(1); seed <= 6; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			n := 20 + rng.Intn(60)
-			g := randomApproxGraph(rng, n, 3*n)
-			qm := sparse.BackwardTransition(g)
-			qt := qm.Transpose()
-			opt := Options{C: 0.6, K: 5}
-			for q := 0; q < n; q += 7 {
-				exact, err := SingleSourceGeometricFromTransition(ctx, qm, q, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				approx, bound, err := ApproxSingleSourceGeometricFromTransition(ctx, qm, qt, q, tol, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkCertificate(t, exact, approx, bound, tol)
-			}
-		}
-	}
-}
-
-func TestApproxExponentialCertificate(t *testing.T) {
-	ctx := context.Background()
-	for _, tol := range []float64{1e-2, 1e-3, 1e-5, 1e-7} {
-		for seed := int64(11); seed <= 14; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			n := 20 + rng.Intn(60)
-			g := randomApproxGraph(rng, n, 3*n)
-			qm := sparse.BackwardTransition(g)
-			qt := qm.Transpose()
-			opt := Options{C: 0.6, K: 7}
-			for q := 0; q < n; q += 7 {
-				exact, err := SingleSourceExponentialFromTransition(ctx, qm, q, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				approx, bound, err := ApproxSingleSourceExponentialFromTransition(ctx, qm, qt, q, tol, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkCertificate(t, exact, approx, bound, tol)
-			}
-		}
-	}
-}
-
 func TestApproxKernelsHonourCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomApproxGraph(rng, 30, 90)

@@ -10,12 +10,14 @@
 //
 //	Geometric        iter-gSR*  — Eq. (14) fixed-point iterations
 //	GeometricMemo    memo-gSR*  — Algorithm 1 (edge concentration)
-//	Exponential      eSR*       — Eq. (19) R/T recurrence, S = e^{-C}·T·Tᵀ
-//	ExponentialMemo  memo-eSR*  — Eq. (19) through the compressed operator
+//	Exponential      eSR*       — the Eq. (18) partial sum, same recurrence
+//	ExponentialMemo  memo-eSR*  — the same through the compressed operator
 //
-// plus O(Km)-per-query single-source variants, a brute-force series
-// evaluator used as a test oracle, and pluggable length weights for the
-// Section 3.2 ablation.
+// The two families are one series under two length-weight tables
+// (weights), so all four run one recurrence (iterate), and the O(Km)-per-
+// query single-source and sieved variants are one kernel each over the
+// table. A brute-force series evaluator is the test oracle, and pluggable
+// length weights serve the Section 3.2 ablation.
 package core
 
 import (
@@ -97,41 +99,109 @@ func (o Options) IterationsExponential() int {
 	return k
 }
 
-// applyFn computes dst = Q·src; the iterative kernels are written against
-// this so that the CSR and compressed-operator backends share all code.
+// weights is one SimRank* family's length-weight table. Both families are
+// the series
+//
+//	Ŝ_K = a_0 · Σ_{l=0}^{K} rel(l) · Σ_{α=0}^{l} binom(l, α) Q^α (Qᵀ)^{l−α}
+//
+// with a scale a_0 and relative weights rel(l) = a_l/a_0:
+//
+//	geometric    Eq. (9):   a_0 = 1−C,     rel(l) = (C/2)ˡ
+//	exponential  Eq. (18):  a_0 = e^{−C},  rel(l) = (C/2)ˡ/l!
+//
+// so one all-pairs routine (iterate), one exact single-source kernel and
+// one sieved kernel serve both families; only the table differs.
+type weights struct {
+	k    int     // truncation length K
+	a0   float64 // the scale a_0
+	half float64 // C/2
+	// factorial marks the exponential table, whose single-source
+	// coefficients factor (see singleSource).
+	factorial bool
+}
+
+// geometric returns the geometric table at o's C and K.
+func (o Options) geometric() weights {
+	o = o.withDefaults()
+	return weights{k: o.IterationsGeometric(), a0: 1 - o.C, half: o.C / 2}
+}
+
+// exponential returns the exponential table at o's C and K.
+func (o Options) exponential() weights {
+	o = o.withDefaults()
+	return weights{k: o.IterationsExponential(), a0: math.Exp(-o.C), half: o.C / 2, factorial: true}
+}
+
+// rel returns rel(l) = a_l/a_0.
+func (w weights) rel(l int) float64 {
+	r := math.Pow(w.half, float64(l))
+	if w.factorial {
+		r /= factorial(l)
+	}
+	return r
+}
+
+// step returns iterate's step l for the table: b_l = a_0 and
+// ρ_l = rel(l+1)/rel(l).
+func (w weights) step(l int) (b, rho float64) {
+	if w.factorial {
+		return w.a0, w.half / float64(l+1)
+	}
+	return w.a0, w.half
+}
+
+// coef returns the weight rel(α+β)·binom(α+β, α) of Q^α (Qᵀ)^β in the series.
+func (w weights) coef(alpha, beta int) float64 {
+	return w.rel(alpha+beta) * binom(alpha+beta, alpha)
+}
+
+// applyFn computes dst = Q·src; iterate is written against it so that the
+// CSR and compressed-operator backends share all code.
 type applyFn func(dst, src *dense.Matrix)
 
-// geometricIterate runs the Eq. (14) fixed point:
+// iterate evaluates the K-th partial sum of a series by Lemma 4's
+// recurrence, run from the longest paths inwards (Horner's rule in
+// L(X) = Q·X + X·Qᵀ), with (b_l, ρ_l) = step(l):
 //
-//	S_0     = (1−C)·I
-//	S_{k+1} = (C/2)·(Q·S_k + S_k·Qᵀ) + (1−C)·I
+//	S_K = b_K·I,  S_l = b_l·I + ρ_l·L(S_{l+1}),  l = K−1 .. 0.
 //
-// exploiting S_k symmetry: S_k·Qᵀ = (Q·S_k)ᵀ, so each iteration costs one
+// Since Lˡ(I) = Σ_α binom(l, α) Q^α (Qᵀ)^{l−α} by Pascal's rule, a table's
+// steps (a_0, rel(l+1)/rel(l)) give S_0 = a_0 Σ_l rel(l)·Lˡ(I); for the
+// geometric table ρ_l = C/2 and each step is one Eq. (14) fixed-point
+// iteration. S_{l+1} is symmetric, so S·Qᵀ = (Q·S)ᵀ and a step costs one
 // sparse×dense product (the "single summation" the paper contrasts with
-// SimRank's double one). The context is checked between iterations, so
-// cancellation and deadlines abort a long run at iteration granularity.
-func geometricIterate(ctx context.Context, n int, apply applyFn, opt Options) (*dense.Matrix, error) {
-	opt = opt.withDefaults()
-	iters := opt.IterationsGeometric()
+// SimRank's double one). The context is checked between steps, so
+// cancellation and deadlines abort a long run at step granularity.
+func iterate(ctx context.Context, n int, apply applyFn, k int, step func(l int) (b, rho float64)) (*dense.Matrix, error) {
 	s := dense.New(n, n)
-	s.AddDiag(1 - opt.C)
+	b, _ := step(k)
+	s.AddDiag(b)
 	m := dense.New(n, n)
-	for k := 0; k < iters; k++ {
+	for l := k - 1; l >= 0; l-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		apply(m, s) // m = Q·S_k
-		assembleSymmetric(s, m, opt.C)
+		apply(m, s) // m = Q·S_{l+1}
+		b, rho := step(l)
+		assembleSymmetric(s, m, rho, b)
+	}
+	return s, nil
+}
+
+// allPairs runs iterate over one family's table and applies opt's sieve.
+func allPairs(ctx context.Context, n int, apply applyFn, w weights, opt Options) (*dense.Matrix, error) {
+	s, err := iterate(ctx, n, apply, w.k, w.step)
+	if err != nil {
+		return nil, err
 	}
 	sieve(s, opt.Sieve)
 	return s, nil
 }
 
-// assembleSymmetric computes s = (C/2)·(m + mᵀ) + (1−C)·I with tiled
-// transpose reads, keeping the mᵀ accesses cache-resident.
-func assembleSymmetric(s, m *dense.Matrix, c float64) {
+// assembleSymmetric computes s = ρ·(m + mᵀ) + b·I with tiled transpose
+// reads, keeping the mᵀ accesses cache-resident.
+func assembleSymmetric(s, m *dense.Matrix, rho, b float64) {
 	n := s.Rows
-	halfC := c / 2
 	const tile = 64
 	nTiles := (n + tile - 1) / tile
 	par.For(nTiles, 0, func(tlo, thi int) {
@@ -149,12 +219,12 @@ func assembleSymmetric(s, m *dense.Matrix, c float64) {
 					row := s.Row(i)
 					mi := m.Row(i)
 					for j := jlo; j < jhi; j++ {
-						row[j] = halfC * (mi[j] + m.Data[j*n+i])
+						row[j] = rho * (mi[j] + m.Data[j*n+i])
 					}
 				}
 			}
 			for i := ilo; i < ihi; i++ {
-				s.Data[i*n+i] += 1 - c
+				s.Data[i*n+i] += b
 			}
 		}
 	})
@@ -177,7 +247,7 @@ func GeometricCtx(ctx context.Context, g *graph.Graph, opt Options) (*dense.Matr
 // backward transition matrix Q, the per-query amortisation a serving engine
 // needs: build Q once, answer many queries.
 func GeometricFromTransition(ctx context.Context, q *sparse.CSR, opt Options) (*dense.Matrix, error) {
-	return geometricIterate(ctx, q.R, q.MulDenseInto, opt)
+	return allPairs(ctx, q.R, q.MulDenseInto, opt.geometric(), opt)
 }
 
 // GeometricMemo computes all-pairs geometric SimRank* through the
@@ -200,41 +270,11 @@ func GeometricWithCompressed(g *graph.Graph, c *biclique.Compressed, opt Options
 // fresh operator is built per call, so concurrent calls may share c.
 func GeometricFromCompressed(ctx context.Context, c *biclique.Compressed, opt Options) (*dense.Matrix, error) {
 	op := c.Operator()
-	return geometricIterate(ctx, c.N, op.Apply, opt)
+	return allPairs(ctx, c.N, op.Apply, opt.geometric(), opt)
 }
 
-// exponentialIterate runs the Eq. (19) recurrence
-//
-//	R_0 = I, T_0 = 0;  T_{k+1} = T_k + (C/2)ᵏ/k!·R_k,  R_{k+1} = Q·R_k
-//
-// and returns S = e^{−C}·T·Tᵀ (Theorem 3's closed form, truncated).
-func exponentialIterate(ctx context.Context, n int, apply applyFn, opt Options) (*dense.Matrix, error) {
-	opt = opt.withDefaults()
-	iters := opt.IterationsExponential()
-	r := dense.Identity(n)
-	next := dense.New(n, n)
-	t := dense.New(n, n)
-	coef := 1.0 // (C/2)^k / k! at k = 0
-	for k := 0; ; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t.Axpy(coef, r)
-		if k == iters {
-			break
-		}
-		apply(next, r)
-		r, next = next, r
-		coef *= opt.C / (2 * float64(k+1))
-	}
-	s := dense.MulABT(t, t)
-	s.Scale(math.Exp(-opt.C))
-	sieve(s, opt.Sieve)
-	return s, nil
-}
-
-// Exponential computes all-pairs exponential SimRank* (the paper's eSR*)
-// with plain CSR iterations.
+// Exponential computes all-pairs exponential SimRank* (the paper's eSR*),
+// the Eq. (18) partial sum at K, with plain CSR iterations.
 func Exponential(g *graph.Graph, opt Options) *dense.Matrix {
 	s, _ := ExponentialCtx(context.Background(), g, opt)
 	return s
@@ -246,30 +286,25 @@ func ExponentialCtx(ctx context.Context, g *graph.Graph, opt Options) (*dense.Ma
 	return ExponentialFromTransition(ctx, sparse.BackwardTransition(g), opt)
 }
 
-// ExponentialFromTransition runs the exponential recurrence against a
+// ExponentialFromTransition runs the exponential iterations against a
 // pre-built backward transition matrix.
 func ExponentialFromTransition(ctx context.Context, q *sparse.CSR, opt Options) (*dense.Matrix, error) {
-	return exponentialIterate(ctx, q.R, q.MulDenseInto, opt)
+	return allPairs(ctx, q.R, q.MulDenseInto, opt.exponential(), opt)
 }
 
 // ExponentialMemo computes all-pairs exponential SimRank* through the
 // compressed operator (the paper's memo-eSR*).
 func ExponentialMemo(g *graph.Graph, opt Options) *dense.Matrix {
-	c := biclique.Compress(g, opt.Mine)
-	return ExponentialWithCompressed(g, c, opt)
-}
-
-// ExponentialWithCompressed is ExponentialMemo with a pre-built compression.
-func ExponentialWithCompressed(g *graph.Graph, c *biclique.Compressed, opt Options) *dense.Matrix {
-	s, _ := ExponentialFromCompressed(context.Background(), c, opt)
+	s, _ := ExponentialFromCompressed(context.Background(), biclique.Compress(g, opt.Mine), opt)
 	return s
 }
 
-// ExponentialFromCompressed is ExponentialWithCompressed with cancellation.
-// A fresh operator is built per call, so concurrent calls may share c.
+// ExponentialFromCompressed is ExponentialMemo with a pre-built compression
+// and cancellation. A fresh operator is built per call, so concurrent calls
+// may share c.
 func ExponentialFromCompressed(ctx context.Context, c *biclique.Compressed, opt Options) (*dense.Matrix, error) {
 	op := c.Operator()
-	return exponentialIterate(ctx, c.N, op.Apply, opt)
+	return allPairs(ctx, c.N, op.Apply, opt.exponential(), opt)
 }
 
 // sieve zeroes entries below eps in place (threshold-sieved similarities —

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dataset"
 	"repro/internal/dense"
@@ -24,180 +23,6 @@ func randomGraph(rng *rand.Rand, n, m int) *graph.Graph {
 		panic(err)
 	}
 	return g
-}
-
-// Geometric recursion must equal the brute-force Eq. (9) partial sum
-// (Lemma 4 states they coincide exactly, iteration by iteration).
-func TestGeometricMatchesSeriesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	graphs := []*graph.Graph{
-		dataset.Figure1(),
-		dataset.Path(6),
-		dataset.Cycle(5),
-		randomGraph(rng, 15, 40),
-		randomGraph(rng, 20, 90),
-	}
-	for gi, g := range graphs {
-		for _, opt := range []Options{{C: 0.6, K: 4}, {C: 0.8, K: 6}} {
-			got := Geometric(g, opt)
-			want := SeriesGeometric(g, opt)
-			if d := got.MaxAbsDiff(want); d > 1e-10 {
-				t.Fatalf("graph %d, C=%.1f K=%d: recursion vs series differ by %g", gi, opt.C, opt.K, d)
-			}
-		}
-	}
-}
-
-// Exponential closed form must equal the brute-force factored oracle
-// exactly, and the literal Eq. (18) partial sum within the Eq. (12) tail
-// bound (the closed form carries extra cross terms of length K < l <= 2K).
-func TestExponentialMatchesSeriesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	graphs := []*graph.Graph{
-		dataset.Figure1(),
-		dataset.Star(7),
-		randomGraph(rng, 12, 50),
-	}
-	for gi, g := range graphs {
-		for _, opt := range []Options{{C: 0.6, K: 5}, {C: 0.8, K: 7}} {
-			got := Exponential(g, opt)
-			exact := SeriesExponentialFactored(g, opt)
-			if d := got.MaxAbsDiff(exact); d > 1e-10 {
-				t.Fatalf("graph %d, C=%.1f K=%d: closed form vs factored oracle differ by %g", gi, opt.C, opt.K, d)
-			}
-			literal := SeriesExponential(g, opt)
-			bound := 3 * math.Pow(opt.C, float64(opt.K+1)) / factorial(opt.K+1)
-			if d := got.MaxAbsDiff(literal); d > bound {
-				t.Fatalf("graph %d: closed form vs Eq.(18) partial sum differ by %g > tail bound %g", gi, d, bound)
-			}
-		}
-	}
-}
-
-// memo-gSR* must compute exactly what iter-gSR* computes (the compression
-// is a reformulation, not an approximation).
-func TestQuickMemoMatchesIter(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(30)
-		g := randomGraph(rng, n, rng.Intn(6*n))
-		opt := Options{C: 0.6, K: 5}
-		return GeometricMemo(g, opt).MaxAbsDiff(Geometric(g, opt)) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickExponentialMemoMatches(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(25)
-		g := randomGraph(rng, n, rng.Intn(5*n))
-		opt := Options{C: 0.6, K: 6}
-		return ExponentialMemo(g, opt).MaxAbsDiff(Exponential(g, opt)) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Single-source solvers must reproduce the matching all-pairs row exactly.
-func TestSingleSourceGeometricMatchesRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomGraph(rng, 25, 100)
-	opt := Options{C: 0.7, K: 6}
-	all := Geometric(g, opt)
-	for _, q := range []int{0, 7, 24} {
-		row, err := SingleSourceGeometricFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range row {
-			if math.Abs(v-all.At(q, j)) > 1e-10 {
-				t.Fatalf("q=%d j=%d: single-source %g vs row %g", q, j, v, all.At(q, j))
-			}
-		}
-	}
-}
-
-func TestSingleSourceExponentialMatchesRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := randomGraph(rng, 22, 90)
-	opt := Options{C: 0.6, K: 7}
-	all := Exponential(g, opt)
-	for _, q := range []int{0, 11, 21} {
-		row, err := SingleSourceExponentialFromTransition(context.Background(), sparse.BackwardTransition(g), q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range row {
-			if math.Abs(v-all.At(q, j)) > 1e-10 {
-				t.Fatalf("q=%d j=%d: single-source %g vs row %g", q, j, v, all.At(q, j))
-			}
-		}
-	}
-}
-
-// Property: SimRank* scores are symmetric, lie in [0, 1], and diagonals lie
-// in [1−C, 1] (the Sec. 3.2 normalisation claims).
-func TestQuickScoreInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(25)
-		g := randomGraph(rng, n, rng.Intn(5*n))
-		c := 0.3 + 0.6*rng.Float64()
-		s := Geometric(g, Options{C: c, K: 6})
-		if !s.IsSymmetric(1e-12) {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			d := s.At(i, i)
-			if d < 1-c-1e-12 || d > 1+1e-12 {
-				return false
-			}
-			for j := 0; j < n; j++ {
-				if v := s.At(i, j); v < -1e-15 || v > 1+1e-12 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Lemma 3: ‖Ŝ − Ŝ_k‖max <= Cᵏ⁺¹. Using a deep iterate as "exact" gives the
-// testable bound ‖Ŝ_K − Ŝ_k‖ <= Cᵏ⁺¹ + Cᴷ⁺¹.
-func TestGeometricConvergenceBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 20, 80)
-	const c, bigK = 0.8, 40
-	exact := Geometric(g, Options{C: c, K: bigK})
-	for k := 0; k <= 8; k++ {
-		diff := Geometric(g, Options{C: c, K: k}).MaxAbsDiff(exact)
-		bound := math.Pow(c, float64(k+1)) + math.Pow(c, float64(bigK+1))
-		if diff > bound+1e-12 {
-			t.Fatalf("k=%d: gap %g exceeds Lemma-3 bound %g", k, diff, bound)
-		}
-	}
-}
-
-// Eq. (12): ‖Ŝ′ − Ŝ′_k‖max <= Cᵏ⁺¹/(k+1)! — factorially faster.
-func TestExponentialConvergenceBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := randomGraph(rng, 18, 70)
-	const c = 0.8
-	exact := Exponential(g, Options{C: c, K: 30})
-	for k := 0; k <= 6; k++ {
-		diff := Exponential(g, Options{C: c, K: k}).MaxAbsDiff(exact)
-		bound := math.Pow(c, float64(k+1))/factorial(k+1) + 1e-12
-		if diff > bound {
-			t.Fatalf("k=%d: gap %g exceeds Eq.(12) bound %g", k, diff, bound)
-		}
-	}
 }
 
 func TestIterationsFromEps(t *testing.T) {
@@ -278,20 +103,6 @@ func TestPathContribution(t *testing.T) {
 	}
 	if PathContribution(0.8, 3, 7) != 0 {
 		t.Fatal("out-of-range α must contribute 0")
-	}
-}
-
-// SeriesWeighted with the geometric weight must reproduce Geometric.
-func TestSeriesWeightedGeometricAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(rng, 15, 60)
-	const c, k = 0.6, 6
-	got := SeriesWeighted(g, GeometricWeight(c), k)
-	// SeriesWeighted normalises by 1/(1−C) exactly; Geometric multiplies by
-	// (1−C): identical partial sums.
-	want := Geometric(g, Options{C: c, K: k})
-	if d := got.MaxAbsDiff(want); d > 1e-10 {
-		t.Fatalf("weighted series differs from recursion by %g", d)
 	}
 }
 

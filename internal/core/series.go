@@ -16,8 +16,8 @@ import (
 //
 // materialising dense powers of Q and Qᵀ and multiplying them pairwise. It
 // costs O(K²·n³) (the "brute-force way" the paper dismisses in Sec. 4) and
-// exists purely as an independent oracle: the recursive, memoized,
-// closed-form and single-source implementations are all tested against it.
+// exists purely as an independent oracle: the recursive, memoized and
+// single-source implementations are all tested against it.
 func SeriesGeometric(g *graph.Graph, opt Options) *dense.Matrix {
 	s, _ := SeriesGeometricCtx(context.Background(), g, opt)
 	return s
@@ -54,12 +54,11 @@ func SeriesGeometricCtx(ctx context.Context, g *graph.Graph, opt Options) (*dens
 }
 
 // SeriesExponential evaluates the K-th partial sum of the exponential series
-// (Eq. 18) by brute force: all in-link paths of total length l <= K. Note
-// the truncation-order subtlety: the closed form e^{−C}·T_K·T_Kᵀ
-// (Theorem 3) truncates each exponential *factor* at K, so it additionally
-// contains cross terms of length K < l <= 2K; the two agree within the
-// Eq. (12) tail bound and converge to the same S′. Use
-// SeriesExponentialFactored for an exact oracle of the closed form.
+// (Eq. 18) by brute force: all in-link paths of total length l <= K. It is
+// the exact oracle of the exponential solvers, which serve this partial sum
+// (within the Eq. (12) bound Cᴷ⁺¹/(K+1)! of the limit S′). Theorem 3's
+// closed form e^{−C}·T·Tᵀ is the limit, not a truncation: cutting each
+// factor at K would add cross terms of length K < l <= 2K.
 func SeriesExponential(g *graph.Graph, opt Options) *dense.Matrix {
 	s, _ := SeriesExponentialCtx(context.Background(), g, opt)
 	return s
@@ -85,46 +84,6 @@ func SeriesExponentialCtx(ctx context.Context, g *graph.Graph, opt Options) (*de
 		for alpha := 0; alpha <= l; alpha++ {
 			term := dense.Mul(qPow[alpha], qtPow[l-alpha])
 			s.Axpy(lw*binom(l, alpha), term)
-		}
-	}
-	s.Scale(math.Exp(-opt.C))
-	sieve(s, opt.Sieve)
-	return s, nil
-}
-
-// SeriesExponentialFactored brute-forces the factored form of Theorem 3
-// truncated at K terms per factor:
-//
-//	S = e^{−C} (Σ_{α<=K} (C/2)^α/α!·Q^α)(Σ_{β<=K} (C/2)^β/β!·(Qᵀ)^β)
-//
-// by expanding the double sum over dense powers. It is the exact oracle for
-// the Exponential/ExponentialMemo implementations.
-func SeriesExponentialFactored(g *graph.Graph, opt Options) *dense.Matrix {
-	s, _ := SeriesExponentialFactoredCtx(context.Background(), g, opt)
-	return s
-}
-
-// SeriesExponentialFactoredCtx is SeriesExponentialFactored with
-// cancellation checked between outer terms.
-func SeriesExponentialFactoredCtx(ctx context.Context, g *graph.Graph, opt Options) (*dense.Matrix, error) {
-	opt = opt.withDefaults()
-	k := opt.IterationsExponential()
-	n := g.N()
-	q := sparse.BackwardTransition(g).ToDense()
-	qt := q.Transpose()
-	qPow := densePowers(q, k)
-	qtPow := densePowers(qt, k)
-	coef := func(i int) float64 {
-		return math.Pow(opt.C/2, float64(i)) / factorial(i)
-	}
-	s := dense.New(n, n)
-	for alpha := 0; alpha <= k; alpha++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for beta := 0; beta <= k; beta++ {
-			term := dense.Mul(qPow[alpha], qtPow[beta])
-			s.Axpy(coef(alpha)*coef(beta), term)
 		}
 	}
 	s.Scale(math.Exp(-opt.C))
@@ -182,10 +141,11 @@ func HarmonicWeight(c float64) LengthWeight {
 //
 //	S_K = (1/Norm) Σ_{l=0}^{K} (w_l/2ˡ) Σ_{α} binom(l,α) Q^α (Qᵀ)^{l−α},
 //
-// using the Pascal-triangle recurrence T̂_{l+1} = (Q·T̂_l + T̂_l·Qᵀ)/2 from
-// Lemma 4, so it runs in O(K·n·m) rather than brute force. The binomial
-// symmetry weight is fixed — it is what makes the recurrence exist at all
-// (the paper's argument (b) for choosing binomials).
+// through the recurrence the SimRank* solvers run (Lemma 4's Pascal-triangle
+// rule, evaluated by Horner's rule with steps b_l = w_l/(2ˡ·Norm), ρ_l = 1),
+// so it costs O(K·n·m) rather than brute force. The binomial symmetry
+// weight is fixed — it is what makes the recurrence exist at all (the
+// paper's argument (b) for choosing binomials).
 func SeriesWeighted(g *graph.Graph, w LengthWeight, k int) *dense.Matrix {
 	s, _ := SeriesWeightedCtx(context.Background(), g, w, k)
 	return s
@@ -194,30 +154,10 @@ func SeriesWeighted(g *graph.Graph, w LengthWeight, k int) *dense.Matrix {
 // SeriesWeightedCtx is SeriesWeighted with cancellation checked between
 // recurrence steps.
 func SeriesWeightedCtx(ctx context.Context, g *graph.Graph, w LengthWeight, k int) (*dense.Matrix, error) {
-	n := g.N()
 	q := sparse.BackwardTransition(g)
-	that := dense.Identity(n) // T̂_0 = I
-	next := dense.New(n, n)
-	s := dense.New(n, n)
-	for l := 0; ; l++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.Axpy(w.Coef(l)/w.Norm, that)
-		if l == k {
-			break
-		}
-		// T̂_{l+1} = (Q·T̂_l + T̂_lQᵀ)/2 = (M + Mᵀ)/2 with M = Q·T̂_l.
-		q.MulDenseInto(next, that)
-		for i := 0; i < n; i++ {
-			row := that.Row(i)
-			ni := next.Row(i)
-			for j := 0; j < n; j++ {
-				row[j] = (ni[j] + next.At(j, i)) / 2
-			}
-		}
-	}
-	return s, nil
+	return iterate(ctx, g.N(), q.MulDenseInto, k, func(l int) (b, rho float64) {
+		return w.Coef(l) / (math.Pow(2, float64(l)) * w.Norm), 1
+	})
 }
 
 // densePowers returns [I, A, A², …, A^k].

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/dense"
 	"repro/internal/sparse"
@@ -10,28 +9,22 @@ import (
 
 // Single-source SimRank* answers one query node in O(K·m + K²·n) time
 // without materialising the n×n matrix — the regime the paper's Exp-1
-// evaluates (500 single-node queries per graph). Both forms factor through
-// the walk vectors w_j = (Qᵀ)ʲ·e_q:
+// evaluates (500 single-node queries per graph). Row q of the series (see
+// weights) factors through the walk vectors w_β = (Qᵀ)^β·e_q:
 //
-// Geometric: row q of Eq. (9) is
+//	ŝ_q = a_0 Σ_{α+β<=K} rel(α+β)·binom(α+β, α)·Q^α w_β
+//	    = a_0 Σ_α Q^α y_α,   y_α = Σ_β rel(α+β)·binom(α+β, α)·w_β,
 //
-//	ŝ_q = (1−C) Σ_{α+β<=K} (C/2)^{α+β} binom(α+β, α) Q^α w_β
-//	    = (1−C) Σ_α Q^α y_α,   y_α = Σ_β (C/2)^{α+β} binom(α+β,α) w_β,
+// evaluated by Horner's rule in Q. One kernel serves both families; it
+// matches the all-pairs row to rounding (tested).
 //
-// evaluated by Horner's rule in Q. Exponential: Theorem 3 gives
-//
-//	ŝ_q = e^{−C} · T_K · (T_Kᵀ e_q),  T_K = Σ_i (C/2)ⁱ/i!·Qⁱ,
-//
-// so one backward sweep builds v = T_Kᵀ e_q and one forward sweep applies
-// T_K. Both match the corresponding all-pairs rows exactly (tested).
-//
-// Each form has two entry points. The *WS kernel writes into a caller's
+// Each family has two entry points. The *WS kernel writes into a caller's
 // buffer and draws its intermediates from a pooled workspace, so a serving
 // engine pays zero allocations per query; *FromTransition wraps it for
 // callers that want a fresh vector. Both take a pre-built Q
 // (sparse.BackwardTransition) so the CSR construction is amortised across
 // queries, and the context is checked between sweeps so deadlines and
-// cancellation abort long runs. The threshold-sieved kernels live in
+// cancellation abort long runs. The threshold-sieved kernel lives in
 // approx.go.
 
 // foldPollStride is how many fold-loop Axpys run between amortised context
@@ -41,8 +34,8 @@ import (
 const foldPollStride = 8
 
 // SingleSourceGeometricFromTransition returns the geometric SimRank* scores
-// between q and every node, identical to row q of Geometric, against a
-// pre-built backward transition matrix.
+// between q and every node, row q of Geometric, against a pre-built
+// backward transition matrix.
 func SingleSourceGeometricFromTransition(ctx context.Context, qm *sparse.CSR, q int, opt Options) ([]float64, error) {
 	dst := make([]float64, qm.R)
 	if err := SingleSourceGeometricWS(ctx, qm, q, opt, nil, dst); err != nil {
@@ -55,34 +48,60 @@ func SingleSourceGeometricFromTransition(ctx context.Context, qm *sparse.CSR, q 
 // single-source kernel: it writes the scores into dst (length n) and draws
 // every intermediate vector from ws, so a serving layer that pools
 // workspaces and reuses result buffers pays zero allocations per query. A
-// nil ws uses a private one. The arithmetic — coefficients and per-element
-// accumulation order — is identical to the allocating kernel, so the scores
-// are bitwise-equal.
+// nil ws uses a private one. The scores are bitwise-equal to
+// SingleSourceGeometricFromTransition's.
 //
 //simstar:noalloc
 func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Options, ws *sparse.Workspace, dst []float64) error {
-	opt = opt.withDefaults()
-	k := opt.IterationsGeometric()
+	return singleSource(ctx, qm, q, opt.geometric(), opt, ws, dst)
+}
+
+// SingleSourceExponentialFromTransition returns the exponential SimRank*
+// scores between q and every node, row q of Exponential, against a
+// pre-built backward transition matrix.
+func SingleSourceExponentialFromTransition(ctx context.Context, qm *sparse.CSR, q int, opt Options) ([]float64, error) {
+	dst := make([]float64, qm.R)
+	if err := SingleSourceExponentialWS(ctx, qm, q, opt, nil, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// SingleSourceExponentialWS is the workspace form of the exponential
+// single-source kernel: scores go into dst (length n), intermediates come
+// from ws (nil for a private one), and the scores are bitwise-equal to
+// SingleSourceExponentialFromTransition's.
+//
+//simstar:noalloc
+func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt Options, ws *sparse.Workspace, dst []float64) error {
+	return singleSource(ctx, qm, q, opt.exponential(), opt, ws, dst)
+}
+
+// singleSource is the exact single-source kernel over table w; opt supplies
+// the sieve and the trace.
+//
+//simstar:noalloc
+func singleSource(ctx context.Context, qm *sparse.CSR, q int, w weights, opt Options, ws *sparse.Workspace, dst []float64) error {
+	k := w.k
 	n := qm.R
 	if len(dst) != n {
-		panic("core: SingleSourceGeometricWS dst length mismatch")
+		panic("core: single-source dst length mismatch")
 	}
 	if ws == nil {
 		//simstar:lint-ignore noalloc nil-ws convenience fallback, off the pooled serving path
 		ws = sparse.NewWorkspace(n)
 	} else if ws.Dim() != n {
-		panic("core: SingleSourceGeometricWS workspace dimension mismatch")
+		panic("core: single-source workspace dimension mismatch")
 	}
 	ws.Reset()
 
-	// y_α accumulates Σ_β (C/2)^{α+β} binom(α+β, α) w_β; each walk vector
-	// w_β = (Qᵀ)^β e_q folds into every y_α it contributes to as soon as it
-	// exists, so only two walk buffers are ever live.
-	y := ws.TakeVecs(k + 1)
+	// Each walk vector w_β folds into every y_α it contributes to as soon as
+	// it exists, so only two walk buffers are ever live. A y_α's first write
+	// overwrites it, so the accumulators are drawn raw.
+	y := ws.RawVecs(k + 1)
 	cur := ws.Take()
 	cur[q] = 1
 	next := ws.Raw()
-	half := opt.C / 2
 	sweeps := 0
 	// The fold runs O(K²) dense Axpys between backward sweeps; the amortised
 	// poller bounds cancellation latency there to foldPollStride Axpys, so a
@@ -98,18 +117,36 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 			sweeps++
 			cur, next = next, cur
 		}
+		if w.factorial {
+			// The exponential coefficients factor, rel(α+β)·binom(α+β, α) =
+			// d_α·d_β with d_j = rel(j), so y_{K−β} = d_{K−β}·p_β where
+			// p_β = Σ_{β′<=β} d_β′·w_β′ is a running prefix sum: 2K+1
+			// vector ops instead of (K+1)(K+2)/2. p lives in y_0, which it
+			// ends as (d_0 = 1).
+			if beta == 0 {
+				dense.ScaledCopy(y[0], 1, cur)
+			} else {
+				dense.Axpy(y[0], w.rel(beta), cur)
+			}
+			if beta < k {
+				dense.ScaledCopy(y[k-beta], w.rel(k-beta), y[0])
+			}
+			continue
+		}
 		for alpha := 0; alpha+beta <= k; alpha++ {
 			if err := poll.Check(); err != nil {
 				return err
 			}
-			coef := math.Pow(half, float64(alpha+beta)) * binom(alpha+beta, alpha)
-			dense.Axpy(y[alpha], coef, cur)
+			if beta == 0 {
+				dense.ScaledCopy(y[alpha], w.coef(alpha, 0), cur)
+			} else {
+				dense.Axpy(y[alpha], w.coef(alpha, beta), cur)
+			}
 		}
 	}
 
 	// Horner: z = y_K; z = Q·z + y_α for α = K−1 .. 0, the addition fused
-	// into the sweep and the final (1−C) normalisation folded into the last
-	// step.
+	// into the sweep and the final a_0 scale folded into the last step.
 	z := y[k]
 	for alpha := k - 1; alpha >= 1; alpha-- {
 		if err := ctx.Err(); err != nil {
@@ -120,92 +157,14 @@ func SingleSourceGeometricWS(ctx context.Context, qm *sparse.CSR, q int, opt Opt
 		z, next = next, z
 	}
 	if k == 0 {
-		dense.ScaledCopy(dst, 1-opt.C, y[0])
+		dense.ScaledCopy(dst, w.a0, y[0])
 	} else {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		qm.MulVecAddScaleInto(dst, z, y[0], 1-opt.C)
+		qm.MulVecAddScaleInto(dst, z, y[0], w.a0)
 		sweeps++
 	}
-	applySieveVec(dst, opt.Sieve)
-	if tr := opt.Trace; tr != nil {
-		tr.AddSweeps(sweeps)
-	}
-	return nil
-}
-
-// SingleSourceExponentialFromTransition returns the exponential SimRank*
-// scores between q and every node, identical to row q of Exponential,
-// against a pre-built backward transition matrix.
-func SingleSourceExponentialFromTransition(ctx context.Context, qm *sparse.CSR, q int, opt Options) ([]float64, error) {
-	dst := make([]float64, qm.R)
-	if err := SingleSourceExponentialWS(ctx, qm, q, opt, nil, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// SingleSourceExponentialWS is the workspace form of the exponential
-// single-source kernel: scores go into dst (length n), intermediates come
-// from ws (nil for a private one), and the arithmetic is bitwise-identical
-// to the allocating kernel.
-//
-//simstar:noalloc
-func SingleSourceExponentialWS(ctx context.Context, qm *sparse.CSR, q int, opt Options, ws *sparse.Workspace, dst []float64) error {
-	opt = opt.withDefaults()
-	k := opt.IterationsExponential()
-	n := qm.R
-	if len(dst) != n {
-		panic("core: SingleSourceExponentialWS dst length mismatch")
-	}
-	if ws == nil {
-		//simstar:lint-ignore noalloc nil-ws convenience fallback, off the pooled serving path
-		ws = sparse.NewWorkspace(n)
-	} else if ws.Dim() != n {
-		panic("core: SingleSourceExponentialWS workspace dimension mismatch")
-	}
-	ws.Reset()
-
-	// v = T_Kᵀ e_q = Σ_j (C/2)ʲ/j!·(Qᵀ)ʲ e_q.
-	v := ws.Take()
-	cur := ws.Take()
-	cur[q] = 1
-	next := ws.Raw()
-	coef := 1.0
-	sweeps := 0
-	for j := 0; ; j++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		dense.Axpy(v, coef, cur)
-		if j == k {
-			break
-		}
-		qm.MulVecTInto(next, cur)
-		sweeps++
-		cur, next = next, cur
-		coef *= opt.C / (2 * float64(j+1))
-	}
-
-	// s = e^{−C}·T_K·v = e^{−C} Σ_i (C/2)ⁱ/i!·Qⁱ v, accumulated in dst.
-	dense.ZeroVec(dst)
-	fcur, fnext := v, cur // cur's walk buffer is dead after the last fold
-	coef = 1.0
-	for i := 0; ; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		dense.Axpy(dst, coef, fcur)
-		if i == k {
-			break
-		}
-		qm.MulVecInto(fnext, fcur)
-		sweeps++
-		fcur, fnext = fnext, fcur
-		coef *= opt.C / (2 * float64(i+1))
-	}
-	dense.ScaleVec(dst, math.Exp(-opt.C))
 	applySieveVec(dst, opt.Sieve)
 	if tr := opt.Trace; tr != nil {
 		tr.AddSweeps(sweeps)

@@ -2,8 +2,7 @@
 // matrices with parallel multiply, a one-sided Jacobi SVD and an LU solver.
 // It exists because the paper's baselines need operations absent from the Go
 // standard library — mtx-SR (Li et al.) requires a singular value
-// decomposition and a small linear solve, and the exponential SimRank*
-// closed form (Theorem 3) requires a dense product e^{-C}·T·Tᵀ.
+// decomposition, a small linear solve and dense products of its factors.
 package dense
 
 import (
@@ -227,8 +226,8 @@ func MulInto(c, a, b *Matrix) {
 }
 
 // MulABT returns a·bᵀ. It reads b row-wise on both sides, which keeps the
-// kernel cache-friendly without materialising the transpose; it is the
-// workhorse of the exponential closed form S = e^{-C}·T·Tᵀ.
+// kernel cache-friendly without materialising the transpose; the SVD
+// reconstruction and mtx-SR's closed form use it.
 func MulABT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic("dense: MulABT shape mismatch")

@@ -251,7 +251,7 @@ func (m *CSR) MulVecAddScaleInto(y, x, add []float64, scale float64) {
 
 // MulDense returns m·b for a dense b, parallelised over rows of m. This is
 // the O(n·m_edges) kernel behind every iterative algorithm in the
-// repository (Q·S_k per Eq. (14), W·S_k for RWR, Q·R_k per Eq. (19)).
+// repository (Q·S per step of the SimRank* recurrence, W·S_k for RWR).
 func (m *CSR) MulDense(b *dense.Matrix) *dense.Matrix {
 	c := dense.New(m.R, b.Cols)
 	m.MulDenseInto(c, b)

@@ -231,15 +231,13 @@ func TestWorkspaceReuse(t *testing.T) {
 	if a2[3] != 0 {
 		t.Fatalf("Take returned a dirty buffer: %v", a2)
 	}
-	vecs := ws.TakeVecs(3)
+	vecs := ws.RawVecs(3)
 	if len(vecs) != 3 {
-		t.Fatalf("TakeVecs returned %d buffers", len(vecs))
+		t.Fatalf("RawVecs returned %d buffers", len(vecs))
 	}
-	for _, v := range vecs {
-		for _, x := range v {
-			if x != 0 {
-				t.Fatalf("TakeVecs returned a dirty buffer")
-			}
-		}
+	// The family continues where Take left off: its first buffer is b, the
+	// arena's second buffer.
+	if &vecs[0][0] != &b[0] || len(vecs[2]) != 8 {
+		t.Fatalf("RawVecs did not reuse the arena's buffers")
 	}
 }

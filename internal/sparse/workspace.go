@@ -17,7 +17,7 @@ type Workspace struct {
 	n    int
 	bufs [][]float64
 	next int
-	hdr  [][]float64 // reusable header slice for TakeVecs
+	hdr  [][]float64 // reusable header slice for RawVecs
 
 	// Trace is a per-query kernel-trace scratch the workspace carries so
 	// observed zero-alloc paths have a KernelTrace without allocating one:
@@ -63,13 +63,14 @@ func (w *Workspace) Raw() []float64 {
 // fresh one paying its first-use growth.
 func (w *Workspace) Grows() int { return len(w.bufs) }
 
-// TakeVecs returns count zeroed buffers in a reusable header slice. The
-// returned slice is only valid until the next TakeVecs or Reset call; a
-// kernel takes its accumulator family in one call.
-func (w *Workspace) TakeVecs(count int) [][]float64 {
+// RawVecs returns count buffers with arbitrary contents in a reusable
+// header slice, for an accumulator family whose first write overwrites each
+// buffer. The returned slice is only valid until the next RawVecs or Reset
+// call; a kernel takes its accumulator family in one call.
+func (w *Workspace) RawVecs(count int) [][]float64 {
 	w.hdr = w.hdr[:0]
 	for i := 0; i < count; i++ {
-		w.hdr = append(w.hdr, w.Take())
+		w.hdr = append(w.hdr, w.Raw())
 	}
 	return w.hdr
 }

@@ -13,11 +13,13 @@ import (
 )
 
 // This file is the engine's kernel table, the one place a measure name
-// becomes a kernel. A single-source query needs three kernel families —
-// geometric SimRank*, exponential SimRank* and RWR — each with one exact and
-// one sieved kernel. The memo variants answer single-source queries with
-// their iterative family's kernels (the scores are identical) and differ
-// only in all-pairs, which keeps the biclique-compressed operator.
+// becomes a kernel. Geometric and exponential SimRank* are one series under
+// two length-weight tables, so their rows call the same internal/core exact
+// kernel, sieved kernel and all-pairs recurrence and differ only in the
+// table each core entry point selects; RWR has its own exact and sieved
+// kernel. The memo variants answer single-source queries with their
+// iterative family's kernels (the scores are identical) and differ only in
+// all-pairs, which keeps the biclique-compressed operator.
 //
 // registerBuiltin attaches a row to the registry entry of each fast-path
 // name, so re-registering the name drops the row together with the factory:

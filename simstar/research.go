@@ -69,9 +69,10 @@ func ExponentialWeight(c float64) LengthWeight { return core.ExponentialWeight(c
 // a simplification.
 func HarmonicWeight(c float64) LengthWeight { return core.HarmonicWeight(c) }
 
-// SeriesWeighted evaluates the K-term weighted series by brute force under
-// an arbitrary length weight — the ablation oracle. O(K²·n³): small graphs
-// only.
+// SeriesWeighted evaluates the K-term weighted series under an arbitrary
+// positive length weight — the ablation's evaluator. It runs the recurrence
+// the SimRank* solvers run (Lemma 4), O(K·n·m) time and two dense n×n
+// matrices: small graphs only.
 func SeriesWeighted(g *Graph, w LengthWeight, k int) *Scores {
 	return denseScores(core.SeriesWeighted(g, w, k))
 }
