@@ -34,6 +34,7 @@ func runFig6h(cfg config) {
 		}
 		g := p.Build()
 		eng := simstar.NewEngine(g, simstar.WithC(0.6))
+		eng.Compression() // a shared cache too: mined before measurement
 		row := []interface{}{name, g.N()}
 		for _, a := range competitorSuite() {
 			a := a

@@ -127,6 +127,9 @@ func main() {
 	if err := checkIterations(nil, opts()); err != nil {
 		log.Fatalf("simserve: -k: %v", err)
 	}
+	if *c >= 1 {
+		log.Fatalf("simserve: -c %g outside (0, 1)", *c)
+	}
 
 	// Startup graph: a warm-restart snapshot wins over -graph, because it is
 	// the later state — it carries the epochs of every mutation served since
@@ -158,8 +161,8 @@ func main() {
 			eng := simstar.NewEngine(g, engOpts...)
 			srv.swap(eng, engOpts...)
 			st := eng.Stats()
-			log.Printf("simserve: serving %s: %d nodes, %d edges, epoch %d (compression %.1f%% in %v)",
-				src, st.Nodes, st.Edges, st.Epoch, st.CompressionRatio, st.CompressionTime.Round(time.Millisecond))
+			log.Printf("simserve: serving %s: %d nodes, %d edges, epoch %d",
+				src, st.Nodes, st.Edges, st.Epoch)
 		}
 	}
 

@@ -256,26 +256,18 @@ type graphRequest struct {
 }
 
 type graphResponse struct {
-	Nodes              int     `json:"nodes"`
-	Edges              int     `json:"edges"`
-	Epoch              uint64  `json:"epoch"`
-	CompressedEdges    int     `json:"compressed_edges"`
-	ConcentrationNodes int     `json:"concentration_nodes"`
-	CompressionRatio   float64 `json:"compression_ratio"`
-	TransitionMillis   float64 `json:"transition_ms"`
-	CompressionMillis  float64 `json:"compression_ms"`
+	Nodes            int     `json:"nodes"`
+	Edges            int     `json:"edges"`
+	Epoch            uint64  `json:"epoch"`
+	TransitionMillis float64 `json:"transition_ms"`
 }
 
 func engineStatsJSON(st simstar.EngineStats) graphResponse {
 	return graphResponse{
-		Nodes:              st.Nodes,
-		Edges:              st.Edges,
-		Epoch:              st.Epoch,
-		CompressedEdges:    st.CompressedEdges,
-		ConcentrationNodes: st.ConcentrationNodes,
-		CompressionRatio:   st.CompressionRatio,
-		TransitionMillis:   float64(st.TransitionTime.Microseconds()) / 1e3,
-		CompressionMillis:  float64(st.CompressionTime.Microseconds()) / 1e3,
+		Nodes:            st.Nodes,
+		Edges:            st.Edges,
+		Epoch:            st.Epoch,
+		TransitionMillis: float64(st.TransitionTime.Microseconds()) / 1e3,
 	}
 }
 
@@ -300,6 +292,13 @@ func (s *server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := checkIterations(nil, req.Options.options()); err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// Every read of an engine built with this c would refuse it (see
+	// simstar.WithC); a query's own c needs no check here, as its read
+	// answers the engine's error.
+	if o := req.Options; o != nil && o.C != nil && !(*o.C >= 0 && *o.C < 1) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("c = %g outside (0, 1)", *o.C))
 		return
 	}
 	var g *simstar.Graph

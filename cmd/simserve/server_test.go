@@ -593,3 +593,30 @@ func TestIterationLimit(t *testing.T) {
 		t.Fatal("a refused graph load replaced the served engine")
 	}
 }
+
+// A c outside (0, 1) is refused with a 400: by a query through the
+// engine's own error, and by a graph load next to the iteration limit,
+// which leaves the served engine as it was.
+func TestOutOfRangeCRefused(t *testing.T) {
+	s, h := newTestServer(t)
+	loadTestGraph(t, h)
+	for _, route := range []string{"/v1/query/single", "/v1/query/topk"} {
+		rec := doJSON(t, h, "POST", route, map[string]any{
+			"measure": "gsimrank*", "node": 0, "k": 3, "options": map[string]any{"c": 1.5},
+		})
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "damping factor") {
+			t.Fatalf("%s: status %d: %s, want 400 naming the damping factor", route, rec.Code, rec.Body)
+		}
+	}
+	before := s.engine()
+	rec := doJSON(t, h, "POST", "/v1/graph", map[string]any{
+		"edge_list": testGraphEdgeList,
+		"options":   map[string]any{"c": -0.5},
+	})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "outside (0, 1)") {
+		t.Fatalf("graph load: status %d: %s, want 400 naming the range", rec.Code, rec.Body)
+	}
+	if s.engine() != before {
+		t.Fatal("a refused graph load replaced the served engine")
+	}
+}

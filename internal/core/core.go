@@ -233,19 +233,14 @@ func assembleSymmetric(s, m *dense.Matrix, rho, b float64) {
 // Geometric computes all-pairs geometric SimRank* with plain CSR iterations
 // (the paper's iter-gSR*, O(Knm) time).
 func Geometric(g *graph.Graph, opt Options) *dense.Matrix {
-	s, _ := GeometricCtx(context.Background(), g, opt)
+	s, _ := GeometricFromTransition(context.Background(), sparse.BackwardTransition(g), opt)
 	return s
-}
-
-// GeometricCtx is Geometric with cancellation: the context is checked
-// between iterations and the only possible error is ctx.Err().
-func GeometricCtx(ctx context.Context, g *graph.Graph, opt Options) (*dense.Matrix, error) {
-	return GeometricFromTransition(ctx, sparse.BackwardTransition(g), opt)
 }
 
 // GeometricFromTransition runs the geometric iterations against a pre-built
 // backward transition matrix Q, the per-query amortisation a serving engine
-// needs: build Q once, answer many queries.
+// needs: build Q once, answer many queries. The context is checked between
+// iterations, and the only possible error is ctx.Err().
 func GeometricFromTransition(ctx context.Context, q *sparse.CSR, opt Options) (*dense.Matrix, error) {
 	return allPairs(ctx, q.R, q.MulDenseInto, opt.geometric(), opt)
 }
@@ -276,18 +271,13 @@ func GeometricFromCompressed(ctx context.Context, c *biclique.Compressed, opt Op
 // Exponential computes all-pairs exponential SimRank* (the paper's eSR*),
 // the Eq. (18) partial sum at K, with plain CSR iterations.
 func Exponential(g *graph.Graph, opt Options) *dense.Matrix {
-	s, _ := ExponentialCtx(context.Background(), g, opt)
+	s, _ := ExponentialFromTransition(context.Background(), sparse.BackwardTransition(g), opt)
 	return s
 }
 
-// ExponentialCtx is Exponential with cancellation checked between
-// iterations.
-func ExponentialCtx(ctx context.Context, g *graph.Graph, opt Options) (*dense.Matrix, error) {
-	return ExponentialFromTransition(ctx, sparse.BackwardTransition(g), opt)
-}
-
 // ExponentialFromTransition runs the exponential iterations against a
-// pre-built backward transition matrix.
+// pre-built backward transition matrix, with cancellation checked between
+// iterations.
 func ExponentialFromTransition(ctx context.Context, q *sparse.CSR, opt Options) (*dense.Matrix, error) {
 	return allPairs(ctx, q.R, q.MulDenseInto, opt.exponential(), opt)
 }

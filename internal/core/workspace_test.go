@@ -18,7 +18,12 @@ func TestSingleSourceWorkspaceKernelsBitwise(t *testing.T) {
 	ctx := context.Background()
 	ws := sparse.NewWorkspace(qm.R)
 	dst := make([]float64, qm.R)
-	for _, opt := range []Options{{C: 0.6, K: 5}, {C: 0.8, K: 1}, {C: 0.3, K: 0}, {C: 0.6, K: 4, Sieve: 1e-3}} {
+	// K <= 0 selects the default, so K = 0 is reachable only through Eps.
+	zero := Options{C: 0.3, Eps: 1}
+	if kg, ke := zero.geometric().k, zero.exponential().k; kg != 0 || ke != 0 {
+		t.Fatalf("%+v resolves K = %d (geometric), %d (exponential); want 0", zero, kg, ke)
+	}
+	for _, opt := range []Options{{C: 0.6, K: 5}, {C: 0.8, K: 1}, zero, {C: 0.6, K: 4, Sieve: 1e-3}} {
 		for q := 0; q < qm.R; q += 17 {
 			want, err := SingleSourceGeometricFromTransition(ctx, qm, q, opt)
 			if err != nil {

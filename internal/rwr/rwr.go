@@ -52,13 +52,9 @@ func AllPairs(g *graph.Graph, opt Options) *dense.Matrix {
 	return s
 }
 
-// AllPairsCtx is AllPairs with cancellation checked between iterations.
-func AllPairsCtx(ctx context.Context, g *graph.Graph, opt Options) (*dense.Matrix, error) {
-	return AllPairsFromTransition(ctx, sparse.ForwardTransition(g), opt)
-}
-
 // AllPairsFromTransition iterates against a pre-built forward transition
 // matrix W, letting a serving engine amortise the build across queries.
+// The context is checked between iterations.
 func AllPairsFromTransition(ctx context.Context, w *sparse.CSR, opt Options) (*dense.Matrix, error) {
 	opt = opt.withDefaults()
 	n := w.R

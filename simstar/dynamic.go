@@ -68,8 +68,9 @@ type EditStats struct {
 	// false exactly when the batch left the graph unchanged.
 	Refreshed bool
 	// RefreshTime is what the incremental state refresh cost, when
-	// Refreshed: the transition-matrix splice, but not the biclique
-	// re-mining, which is deferred to the first memo query of the epoch.
+	// Refreshed: the transition-matrix splice. The new epoch's bicliques
+	// are not mined here, but by its first memo all-pairs run or
+	// Engine.Compression call.
 	RefreshTime time.Duration
 	// Nodes and Edges are the size of the served graph after the call.
 	Nodes, Edges int
@@ -114,16 +115,11 @@ func (e *Engine) ApplyEdits(edits ...Edit) (EditStats, error) {
 		if g.N() != old.g.N() {
 			pools = newScratchPools(g.N(), e.cfg.observer)
 		}
-		ns := newEngineState(g, res.Snapshot.Epoch, pools)
+		ns := &engineState{g: g, epoch: res.Snapshot.Epoch, miner: old.miner, pools: pools}
 		t0 := time.Now()
 		ns.backward = sparse.UpdateBackwardTransition(old.backward, g, res.Delta.DirtyIn)
 		ns.forward = sparse.UpdateForwardTransition(old.forward, g, res.Delta.DirtyOut)
 		ns.transitionTime = time.Since(t0)
-		// Mining is the expensive half of preprocessing; defer it so the
-		// update path stays fast and non-memo queries never pay it. The old
-		// epoch's mined result rides along so Stats keeps reporting the most
-		// recently mined figures until this epoch mines its own.
-		ns.comp = newCompHolder(g, e.cfg.miner.internal(), old.comp.peek())
 		e.state.Store(ns)
 		stats.Refreshed = true
 		stats.RefreshTime = time.Since(t0)

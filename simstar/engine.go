@@ -13,23 +13,18 @@ import (
 	"repro/internal/sparse"
 )
 
-// compress mines the biclique compression for a standalone measure call.
-// Engine callers hit the cached copy instead.
-func compress(g *Graph, cfg config) *biclique.Compressed {
-	return biclique.Compress(g, cfg.miner.internal())
-}
-
 // Engine answers similarity queries for one evolving graph with
-// preprocessing amortised across queries. NewEngine eagerly builds and
-// caches, for the base graph:
+// preprocessing amortised across queries. NewEngine builds, for the base
+// graph:
 //
 //   - the CSR backward transition matrix Q (SimRank-family measures),
-//   - the CSR forward transition matrix W (RWR),
-//   - the biclique edge-concentration compression (the memo-* variants).
+//   - the CSR forward transition matrix W (RWR).
 //
-// Standalone Measure calls rebuild those structures on every invocation —
-// an O(m) (and for the compression, far worse) cost that a system serving
-// heavy query traffic cannot pay per request.
+// A standalone Measure call rebuilds the matrix its kernel reads on every
+// invocation — an O(m) cost that a system serving heavy query traffic
+// cannot pay per request. The biclique edge-concentration compression,
+// which only the memo-* all-pairs runs read, is mined once per epoch by the
+// first such run or Compression call; no single-source read mines.
 //
 // The graph is no longer frozen at construction: ApplyEdits streams edge
 // insertions and removals through an internal dyngraph store, and each
@@ -74,10 +69,13 @@ type engineState struct {
 	g     *Graph
 	epoch uint64
 
-	backward *sparse.CSR   // Q: row-normalised transposed adjacency
-	forward  *sparse.CSR   // W: row-normalised adjacency
-	comp     *compHolder   // edge-concentration compression, possibly lazy
-	qt       lazyTranspose // Qᵀ for the sieved SimRank* kernels, built on first use
+	backward *sparse.CSR     // Q: row-normalised transposed adjacency
+	forward  *sparse.CSR     // W: row-normalised adjacency
+	qt       lazyTranspose   // Qᵀ for the sieved SimRank* kernels, built on first use
+	comp     lazyCompression // the biclique compression, mined on first use
+	// miner is what comp mines with: the engine's WithMiner, fixed at
+	// NewEngine and inherited by every later epoch.
+	miner biclique.Options
 
 	// pools is the per-query scratch the fast paths borrow. It is a separate
 	// allocation, never embedded: the runtime's list of used pools holds
@@ -90,13 +88,6 @@ type engineState struct {
 	// transitionTime is what building (epoch 0) or incrementally refreshing
 	// (later epochs) the two transition matrices cost.
 	transitionTime time.Duration
-}
-
-// newEngineState assembles the shell of an epoch state around its scratch
-// pools: the transition matrices and compression are filled in by the
-// caller.
-func newEngineState(g *Graph, epoch uint64, pools *scratchPools) *engineState {
-	return &engineState{g: g, epoch: epoch, pools: pools}
 }
 
 // scratchPools recycles the per-query scratch of the fast paths for one
@@ -146,91 +137,86 @@ func (st *engineState) getWS() *sparse.Workspace {
 
 func (st *engineState) putWS(ws *sparse.Workspace) { st.pools.workspaces.Put(ws) }
 
-// compHolder defers the biclique mining of a refreshed epoch until a memo
-// query needs it: mining is the expensive part of preprocessing, and the
-// update path must not pay it inline. The mined result is published through
-// an atomic pointer so Stats can peek without forcing the build; until this
-// epoch has mined, peek falls back to the most recently mined epoch's
-// result (prev), so compression stats never flap to zero across mutations.
-type compHolder struct {
-	g     *Graph
-	miner biclique.Options
-	prev  *compResult // last-mined result of an earlier epoch, or nil
-	once  sync.Once
-	res   atomic.Pointer[compResult]
+// lazyCompression is an epoch's biclique compression (the paper's edge
+// concentration, Sec. 4.3), which only the memo all-pairs runs and
+// Engine.Compression read. It is mined once, on the first such call, so
+// NewEngine, ApplyEdits and every single-source read leave it unbuilt.
+type lazyCompression struct {
+	once sync.Once
+	c    *biclique.Compressed
+	dur  time.Duration // what mining took
 }
 
-type compResult struct {
-	c   *biclique.Compressed
-	dur time.Duration
-}
-
-func newCompHolder(g *Graph, miner biclique.Options, prev *compResult) *compHolder {
-	return &compHolder{g: g, miner: miner, prev: prev}
-}
-
-// get returns this epoch's compression, mining it on first use.
-func (h *compHolder) get() *biclique.Compressed {
-	h.once.Do(func() {
+// of returns the compression of g under miner, mining it on first use.
+func (lc *lazyCompression) of(g *Graph, miner biclique.Options) *biclique.Compressed {
+	lc.once.Do(func() {
 		t0 := time.Now()
-		c := biclique.Compress(h.g, h.miner)
-		h.res.Store(&compResult{c: c, dur: time.Since(t0)})
+		lc.c = biclique.Compress(g, miner)
+		lc.dur = time.Since(t0)
 	})
-	return h.res.Load().c
+	return lc.c
 }
 
-// peek returns the most recently mined compression — this epoch's if it has
-// been built, an earlier epoch's otherwise — without forcing a build.
-func (h *compHolder) peek() *compResult {
-	if cr := h.res.Load(); cr != nil {
-		return cr
-	}
-	return h.prev
-}
-
-// EngineStats reports the served graph and what preprocessing cost. For an
-// epoch produced by ApplyEdits, TransitionTime is the incremental refresh
-// cost and the compression fields describe the most recent epoch whose
-// compression has actually been mined (mining is lazy after mutations:
-// the first memo-variant query of an epoch pays it).
+// EngineStats reports the served graph and what building its transition
+// matrices cost. The biclique compression is not part of it: Compression
+// reports that, mining it on demand.
 type EngineStats struct {
 	// Nodes and Edges are the size of the served graph at the current epoch.
 	Nodes, Edges int
 	// Epoch is the graph version being served; 0 until the first
 	// materialised mutation (or the warm-start epoch under WithBaseEpoch).
 	Epoch uint64
-	// CompressedEdges is m̃, the edge count of the compressed bigraph.
-	CompressedEdges int
-	// ConcentrationNodes is the number of mined bicliques.
-	ConcentrationNodes int
-	// CompressionRatio is (1 − m̃/m)·100%.
-	CompressionRatio float64
-	// TransitionTime covers building (or incrementally refreshing) both CSR
-	// transition matrices for the current epoch.
+	// TransitionTime covers building (epoch 0) or incrementally refreshing
+	// (later epochs) both CSR transition matrices for the current epoch.
 	TransitionTime time.Duration
-	// CompressionTime covers the biclique mining, when it has run.
-	CompressionTime time.Duration
 }
 
-// NewEngine builds the per-graph caches and returns a query engine. The
-// options become the engine's defaults for every query it serves. The base
-// epoch's compression is mined eagerly, so the engine is fully warmed for
-// every measure before the first query.
+// CompressionStats describes an epoch's biclique compression: the
+// compressed bigraph the memo all-pairs runs iterate over.
+type CompressionStats struct {
+	// Edges is m, the edge count of the epoch's graph.
+	Edges int
+	// CompressedEdges is m̃, the edge count of the compressed bigraph.
+	CompressedEdges int
+	// Bicliques is the number of mined bicliques (concentration nodes).
+	Bicliques int
+	// Ratio is (1 − m̃/m)·100%.
+	Ratio float64
+	// MiningTime is what mining the epoch took.
+	MiningTime time.Duration
+}
+
+// NewEngine builds the base epoch's transition matrices and returns a
+// query engine. The options become the engine's defaults for every query it
+// serves. It mines no bicliques: the first memo all-pairs run or
+// Compression call does.
 func NewEngine(g *Graph, opts ...Option) *Engine {
 	e := &Engine{cfg: buildConfig(opts), opts: opts}
 	e.cache = newResultCache(e.cfg.cacheSize)
 	e.editMu = &sync.Mutex{}
 	e.state = &atomic.Pointer[engineState]{}
 	e.store = dyngraph.New(g, dyngraph.WithBaseEpoch(e.cfg.baseEpoch))
-	st := newEngineState(g, e.cfg.baseEpoch, newScratchPools(g.N(), e.cfg.observer))
-	t0 := time.Now()
-	st.backward = sparse.BackwardTransition(g)
-	st.forward = sparse.ForwardTransition(g)
-	st.transitionTime = time.Since(t0)
-	st.comp = newCompHolder(g, e.cfg.miner.internal(), nil)
-	st.comp.get()
+	st := newBaseState(g, e.cfg, true, true)
+	st.pools = newScratchPools(g.N(), e.cfg.observer)
 	e.state.Store(st)
 	return e
+}
+
+// newBaseState builds the first epoch state of g under cfg: Q when
+// backward, W when forward, and the compression unmined. NewEngine builds
+// both matrices and adds the scratch pools; a built-in Measure builds, for
+// one call, only the matrix its kernel row reads.
+func newBaseState(g *Graph, cfg config, backward, forward bool) *engineState {
+	st := &engineState{g: g, epoch: cfg.baseEpoch, miner: cfg.miner.internal()}
+	t0 := time.Now()
+	if backward {
+		st.backward = sparse.BackwardTransition(g)
+	}
+	if forward {
+		st.forward = sparse.ForwardTransition(g)
+	}
+	st.transitionTime = time.Since(t0)
+	return st
 }
 
 // load returns the current epoch's state. Queries call it once at entry and
@@ -246,8 +232,8 @@ func (e *Engine) Graph() *Graph { return e.load().g }
 // without repeating the preprocessing. The receiver is not modified; edits
 // applied through either engine are visible to both. Structure-shaping
 // options are fixed at construction: a WithMiner passed here does not
-// re-mine the shared compression, and a WithCacheSize here does not resize
-// the shared cache (build a new Engine for those).
+// change the miner of the shared compression, and a WithCacheSize here does
+// not resize the shared cache (build a new Engine for those).
 func (e *Engine) With(opts ...Option) *Engine {
 	ne := *e
 	ne.opts = append(append([]Option(nil), e.opts...), opts...)
@@ -258,19 +244,30 @@ func (e *Engine) With(opts ...Option) *Engine {
 // Stats returns the preprocessing summary for the current epoch.
 func (e *Engine) Stats() EngineStats {
 	st := e.load()
-	s := EngineStats{
+	return EngineStats{
 		Nodes:          st.g.N(),
 		Edges:          st.g.M(),
 		Epoch:          st.epoch,
 		TransitionTime: st.transitionTime,
 	}
-	if cr := st.comp.peek(); cr != nil {
-		s.CompressedEdges = cr.c.MCompressed
-		s.ConcentrationNodes = cr.c.NumConcentration()
-		s.CompressionRatio = cr.c.CompressionRatio()
-		s.CompressionTime = cr.dur
+}
+
+// Compression returns the current epoch's biclique compression, mining it
+// first unless a memo all-pairs run or an earlier call already has. Mining
+// runs once per epoch, with the miner given at NewEngine, and is shared by
+// the engines With derives. It is the costly half of preprocessing, which
+// is why nothing else mines: call it outside any timer that should cover
+// only the memo iterations.
+func (e *Engine) Compression() CompressionStats {
+	st := e.load()
+	c := st.comp.of(st.g, st.miner)
+	return CompressionStats{
+		Edges:           c.MOriginal,
+		CompressedEdges: c.MCompressed,
+		Bicliques:       c.NumConcentration(),
+		Ratio:           c.CompressionRatio(),
+		MiningTime:      st.comp.dur,
 	}
-	return s
 }
 
 // CacheStats returns the current state and lifetime counters of the
@@ -389,7 +386,7 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 		defer cancel()
 	}
 	t0 := time.Now()
-	if err := st.checkQuery(ctx, q); err != nil {
+	if err := e.cfg.checkQuery(ctx, st.g.N(), q); err != nil {
 		o.observeCancel(ctx, err)
 		return nil, 0, false, err
 	}
@@ -509,7 +506,7 @@ func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int
 	// zero-alloc contract; a recovered kernel panic surfaces as an
 	// ErrKernelPanic-wrapped err with a nil slice.
 	defer e.recoverKernel(&err)
-	if err := st.checkQuery(ctx, q); err != nil {
+	if err := e.cfg.checkQuery(ctx, st.g.N(), q); err != nil {
 		e.cfg.observer.observeCancel(ctx, err)
 		return nil, err
 	}
@@ -556,8 +553,9 @@ func (e *Engine) TopK(ctx context.Context, measureName string, q, k int, exclude
 
 // AllPairs computes the full similarity matrix under the named measure. A
 // measure in the engine's kernel table reuses the current epoch's cached
-// transition matrices (the memo variants its compression); any other
-// measure runs its registered implementation on the epoch's graph.
+// transition matrices (the memo variants its compression, which the
+// epoch's first memo run mines); any other measure runs its registered
+// implementation on the epoch's graph.
 func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, err error) {
 	o := e.cfg.observer
 	if o != nil {
@@ -571,7 +569,7 @@ func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, e
 	// error return, a recovered panic included.
 	defer func() { o.observeCancel(ctx, err) }()
 	defer e.recoverKernel(&err)
-	if err := ctx.Err(); err != nil {
+	if err := e.cfg.checkRun(ctx); err != nil {
 		return nil, err
 	}
 	st := e.load()
@@ -589,12 +587,27 @@ func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, e
 	return m.AllPairs(ctx, st.g)
 }
 
-func (st *engineState) checkQuery(ctx context.Context, q int) error {
+// checkRun rejects a call before any work: a done ctx, or a damping factor
+// no measure can run — NaN, negative or at least 1 (0 selects the default).
+// Engine reads, AllPairs and the Measure adapters all run it.
+func (cfg config) checkRun(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if q < 0 || q >= st.g.N() {
-		return fmt.Errorf("simstar: query node %d out of range [0, %d)", q, st.g.N())
+	if !(cfg.c >= 0 && cfg.c < 1) {
+		return fmt.Errorf("simstar: damping factor C = %g outside (0, 1)", cfg.c)
+	}
+	return nil
+}
+
+// checkQuery is checkRun for a single-source call on an n-node graph, which
+// also rejects a query node outside [0, n).
+func (cfg config) checkQuery(ctx context.Context, n, q int) error {
+	if err := cfg.checkRun(ctx); err != nil {
+		return err
+	}
+	if q < 0 || q >= n {
+		return fmt.Errorf("simstar: query node %d out of range [0, %d)", q, n)
 	}
 	return nil
 }

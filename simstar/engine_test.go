@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -174,8 +175,9 @@ func TestEngineStats(t *testing.T) {
 	if st.Nodes != g.N() || st.Edges != g.M() {
 		t.Fatalf("stats %+v disagree with graph n=%d m=%d", st, g.N(), g.M())
 	}
-	if st.CompressedEdges <= 0 || st.CompressedEdges > st.Edges {
-		t.Fatalf("compressed edges %d out of range (m=%d)", st.CompressedEdges, st.Edges)
+	cs := eng.Compression()
+	if cs.Edges != g.M() || cs.CompressedEdges <= 0 || cs.CompressedEdges > cs.Edges {
+		t.Fatalf("compression %+v out of range (m=%d)", cs, g.M())
 	}
 	if eng.Graph() != g {
 		t.Fatal("Graph() must return the served graph")
@@ -201,6 +203,139 @@ func TestEngineHonoursRegistryOverride(t *testing.T) {
 		if row[0] != 1 {
 			t.Fatalf("%q: engine served %g, want the override's constant 1", query, row[0])
 		}
+	}
+}
+
+// A damping factor no measure can run — NaN, negative or at least 1 — is
+// refused by every entry point, through the engine and through both
+// Measure adapters, before any kernel runs; 0 keeps selecting the default.
+func TestOutOfRangeCRefused(t *testing.T) {
+	g := toyGraph(t)
+	ctx := context.Background()
+	eng := simstar.NewEngine(g)
+	lookup := func(name string, o simstar.Option) simstar.Measure {
+		m, err := simstar.Lookup(name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	const name = simstar.MeasureGeometric
+	calls := []struct {
+		entry string
+		call  func(o simstar.Option) error
+	}{
+		{"SingleSource", func(o simstar.Option) error {
+			_, err := eng.With(o).SingleSource(ctx, name, 1)
+			return err
+		}},
+		{"SingleSourceCertified/sieved", func(o simstar.Option) error {
+			_, _, err := eng.With(o, simstar.WithTolerance(1e-3)).SingleSourceCertified(ctx, name, 1)
+			return err
+		}},
+		{"SingleSourceInto", func(o simstar.Option) error {
+			_, err := eng.With(o).SingleSourceInto(ctx, name, 1, nil)
+			return err
+		}},
+		{"TopK", func(o simstar.Option) error {
+			_, err := eng.With(o).TopK(ctx, simstar.MeasureRWR, 1, 3)
+			return err
+		}},
+		{"MultiSource", func(o simstar.Option) error {
+			return eng.MultiSource(ctx, []simstar.Query{{Measure: name, Node: 1, Opts: []simstar.Option{o}}})[0].Err
+		}},
+		{"BatchTopK", func(o simstar.Option) error {
+			return eng.BatchTopK(ctx, []simstar.Query{{Measure: simstar.MeasurePRank, Node: 1, K: 3, Opts: []simstar.Option{o}}})[0].Err
+		}},
+		{"AllPairs", func(o simstar.Option) error {
+			_, err := eng.With(o).AllPairs(ctx, simstar.MeasureGeometricMemo)
+			return err
+		}},
+		{"Lookup(rwr).AllPairs", func(o simstar.Option) error {
+			_, err := lookup(simstar.MeasureRWR, o).AllPairs(ctx, g)
+			return err
+		}},
+		{"Lookup(rwr).SingleSource", func(o simstar.Option) error {
+			_, err := lookup(simstar.MeasureRWR, o).SingleSource(ctx, g, 1)
+			return err
+		}},
+		{"Lookup(simrank).AllPairs", func(o simstar.Option) error {
+			_, err := lookup(simstar.MeasureSimRank, o).AllPairs(ctx, g)
+			return err
+		}},
+		{"Lookup(simrank).SingleSource", func(o simstar.Option) error {
+			_, err := lookup(simstar.MeasureSimRank, o).SingleSource(ctx, g, 1)
+			return err
+		}},
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(-1), -0.1, 1, 1.5} {
+		for _, tc := range calls {
+			if err := tc.call(simstar.WithC(c)); err == nil || !strings.Contains(err.Error(), "damping factor") {
+				t.Errorf("%s with C = %g: err = %v, want the damping-factor error", tc.entry, c, err)
+			}
+		}
+	}
+	for _, c := range []float64{0, 0.5} {
+		for _, tc := range calls {
+			if err := tc.call(simstar.WithC(c)); err != nil {
+				t.Errorf("%s with C = %g: %v", tc.entry, c, err)
+			}
+		}
+	}
+}
+
+// A factory that re-registers a built-in name to return the Measure an
+// earlier Lookup of that name gave must not send the engine round in a
+// circle: the engine, finding no kernel row for the name, serves the
+// override, and the override runs its own row rather than resolving the
+// name again. Its answers are the built-in's, bit for bit.
+func TestReregisteredBuiltinServed(t *testing.T) {
+	g := toyGraph(t)
+	ctx := context.Background()
+	opts := []simstar.Option{simstar.WithC(0.7), simstar.WithK(6)}
+	for _, name := range []string{
+		simstar.MeasureGeometric, simstar.MeasureGeometricMemo,
+		simstar.MeasureExponential, simstar.MeasureExponentialMemo, simstar.MeasureRWR,
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := simstar.NewEngine(g, opts...)
+			wantRow, err := eng.SingleSource(ctx, name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAll, err := eng.AllPairs(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := simstar.Lookup(name, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simstar.RegisterForTest(t, name, func(...simstar.Option) simstar.Measure { return m })
+			if simstar.HasCertifiedPath(name) {
+				t.Fatal("the override kept the built-in's kernel row")
+			}
+			row, err := eng.SingleSource(ctx, name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := eng.AllPairs(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range wantRow {
+				if row[j] != wantRow[j] {
+					t.Fatalf("SingleSource[%d] = %g, want %g", j, row[j], wantRow[j])
+				}
+			}
+			for i := 0; i < g.N(); i++ {
+				for j := 0; j < g.N(); j++ {
+					if all.At(i, j) != wantAll.At(i, j) {
+						t.Fatalf("AllPairs(%d,%d) = %g, want %g", i, j, all.At(i, j), wantAll.At(i, j))
+					}
+				}
+			}
+		})
 	}
 }
 

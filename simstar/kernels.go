@@ -12,14 +12,16 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file is the engine's kernel table, the one place a measure name
-// becomes a kernel. Geometric and exponential SimRank* are one series under
-// two length-weight tables, so their rows call the same internal/core exact
-// kernel, sieved kernel and all-pairs recurrence and differ only in the
-// table each core entry point selects; RWR has its own exact and sieved
-// kernel. The memo variants answer single-source queries with their
-// iterative family's kernels (the scores are identical) and differ only in
-// all-pairs, which keeps the biclique-compressed operator.
+// This file is the kernel table, the one place a built-in measure name
+// becomes a kernel: the Engine runs a name's row on its epoch state, and
+// the Measure that Lookup returns for the name runs the same row on a
+// one-shot state (see rowMeasure). Geometric and exponential SimRank* are
+// one series under two length-weight tables, so their rows call the same
+// internal/core exact kernel, sieved kernel and all-pairs recurrence and
+// differ only in the table each core entry point selects; RWR has its own
+// exact and sieved kernel. The memo variants answer single-source queries
+// with their iterative family's kernels (the scores are identical) and
+// differ only in all-pairs, which keeps the biclique-compressed operator.
 //
 // registerBuiltin attaches a row to the registry entry of each fast-path
 // name, so re-registering the name drops the row together with the factory:
@@ -29,6 +31,9 @@ import (
 // pinned epoch state and picks its own operator side (Q or W), transpose and
 // options.
 type kernelFamily struct {
+	// forward marks the row whose kernels read W (RWR); the SimRank* rows
+	// read Q. A one-shot state builds only the matrix its row reads.
+	forward bool
 	// exact runs the exact WS kernel for query node q into dst (length n),
 	// drawing every intermediate from ws. kt (nilable) receives the kernel
 	// detail.
@@ -52,7 +57,7 @@ var (
 		exact:  geometricExact,
 		sieved: geometricSieved,
 		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
-			return core.GeometricFromCompressed(ctx, st.comp.get(), cfg.coreOptions())
+			return core.GeometricFromCompressed(ctx, st.comp.of(st.g, st.miner), cfg.coreOptions())
 		},
 	}
 	exponentialKernels = kernelFamily{
@@ -66,12 +71,13 @@ var (
 		exact:  exponentialExact,
 		sieved: exponentialSieved,
 		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
-			return core.ExponentialFromCompressed(ctx, st.comp.get(), cfg.coreOptions())
+			return core.ExponentialFromCompressed(ctx, st.comp.of(st.g, st.miner), cfg.coreOptions())
 		},
 	}
 	rwrKernels = kernelFamily{
-		exact:  rwrExact,
-		sieved: rwrSieved,
+		forward: true,
+		exact:   rwrExact,
+		sieved:  rwrSieved,
 		allPairs: func(ctx context.Context, st *engineState, cfg config) (*dense.Matrix, error) {
 			return rwr.AllPairsFromTransition(ctx, st.forward, cfg.rwrOptions())
 		},

@@ -2,14 +2,10 @@ package simstar
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/classic"
-	"repro/internal/core"
 	"repro/internal/prank"
-	"repro/internal/rwr"
 	"repro/internal/simrank"
-	"repro/internal/sparse"
 	"repro/internal/sparsesim"
 )
 
@@ -49,34 +45,68 @@ const (
 	MeasureCoCitation      = "cocitation"       // co-citation counts (non-iterative baseline)
 )
 
-// measure adapts one family's solver functions to the Measure interface.
-type measure struct {
+// rowMeasure is the Measure that Lookup returns for a name with a kernel
+// row (kernels.go): it runs the row's all-pairs and exact kernels on a
+// one-shot state built for the call, so a standalone call runs the code an
+// Engine read runs. It holds the row rather than resolving its name, so it
+// answers even where the name was re-registered to a factory returning it.
+type rowMeasure struct {
 	name string
 	cfg  config
-	// allPairs is required; single may be nil, in which case SingleSource
-	// falls back to extracting row q from a full all-pairs run.
+	k    *kernelFamily
+}
+
+func (m *rowMeasure) Name() string { return m.name }
+
+// state builds the one-shot state of a call on g: the one transition
+// matrix the row reads, and the compression unmined.
+func (m *rowMeasure) state(g *Graph) *engineState {
+	return newBaseState(g, m.cfg, !m.k.forward, m.k.forward)
+}
+
+func (m *rowMeasure) AllPairs(ctx context.Context, g *Graph) (*Scores, error) {
+	if err := m.cfg.checkRun(ctx); err != nil {
+		return nil, err
+	}
+	s, err := m.k.allPairs(ctx, m.state(g), m.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return denseScores(s), nil
+}
+
+func (m *rowMeasure) SingleSource(ctx context.Context, g *Graph, q int) ([]float64, error) {
+	if err := m.cfg.checkQuery(ctx, g.N(), q); err != nil {
+		return nil, err
+	}
+	st := m.state(g)
+	dst := make([]float64, g.N())
+	if err := m.k.exact(ctx, st, m.cfg, q, nil, dst, nil); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// measure adapts a solver without a kernel row to the Measure interface.
+// Its single-source answer is row q of an all-pairs run.
+type measure struct {
+	name     string
+	cfg      config
 	allPairs func(ctx context.Context, g *Graph, cfg config) (*Scores, error)
-	single   func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error)
 }
 
 func (m *measure) Name() string { return m.name }
 
 func (m *measure) AllPairs(ctx context.Context, g *Graph) (*Scores, error) {
-	if err := ctx.Err(); err != nil {
+	if err := m.cfg.checkRun(ctx); err != nil {
 		return nil, err
 	}
 	return m.allPairs(ctx, g, m.cfg)
 }
 
 func (m *measure) SingleSource(ctx context.Context, g *Graph, q int) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
+	if err := m.cfg.checkQuery(ctx, g.N(), q); err != nil {
 		return nil, err
-	}
-	if q < 0 || q >= g.N() {
-		return nil, fmt.Errorf("simstar: query node %d out of range [0, %d)", q, g.N())
-	}
-	if m.single != nil {
-		return m.single(ctx, g, q, m.cfg)
 	}
 	s, err := m.allPairs(ctx, g, m.cfg)
 	if err != nil {
@@ -86,66 +116,18 @@ func (m *measure) SingleSource(ctx context.Context, g *Graph, q int) ([]float64,
 }
 
 // factoryFor closes a measure template over the options given at Lookup.
-func factoryFor(name string,
-	allPairs func(ctx context.Context, g *Graph, cfg config) (*Scores, error),
-	single func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error)) Factory {
+func factoryFor(name string, allPairs func(ctx context.Context, g *Graph, cfg config) (*Scores, error)) Factory {
 	return func(opts ...Option) Measure {
-		return &measure{name: name, cfg: buildConfig(opts), allPairs: allPairs, single: single}
+		return &measure{name: name, cfg: buildConfig(opts), allPairs: allPairs}
 	}
 }
 
 func init() {
-	registerBuiltin(MeasureGeometric, factoryFor(MeasureGeometric,
-		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
-			m, err := core.GeometricCtx(ctx, g, cfg.coreOptions())
-			if err != nil {
-				return nil, err
-			}
-			return denseScores(m), nil
-		},
-		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceGeometricFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
-		}), &geometricKernels)
-
-	registerBuiltin(MeasureGeometricMemo, factoryFor(MeasureGeometricMemo,
-		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
-			opt := cfg.coreOptions()
-			m, err := core.GeometricFromCompressed(ctx, compress(g, cfg), opt)
-			if err != nil {
-				return nil, err
-			}
-			return denseScores(m), nil
-		},
-		// Single-source never materialises the matrix, so it does not use
-		// the compression; it still matches row q of the memo run exactly.
-		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceGeometricFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
-		}), &geometricMemoKernels)
-
-	registerBuiltin(MeasureExponential, factoryFor(MeasureExponential,
-		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
-			m, err := core.ExponentialCtx(ctx, g, cfg.coreOptions())
-			if err != nil {
-				return nil, err
-			}
-			return denseScores(m), nil
-		},
-		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceExponentialFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
-		}), &exponentialKernels)
-
-	registerBuiltin(MeasureExponentialMemo, factoryFor(MeasureExponentialMemo,
-		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
-			opt := cfg.coreOptions()
-			m, err := core.ExponentialFromCompressed(ctx, compress(g, cfg), opt)
-			if err != nil {
-				return nil, err
-			}
-			return denseScores(m), nil
-		},
-		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return core.SingleSourceExponentialFromTransition(ctx, sparse.BackwardTransition(g), q, cfg.coreOptions())
-		}), &exponentialMemoKernels)
+	registerBuiltin(MeasureGeometric, &geometricKernels)
+	registerBuiltin(MeasureGeometricMemo, &geometricMemoKernels)
+	registerBuiltin(MeasureExponential, &exponentialKernels)
+	registerBuiltin(MeasureExponentialMemo, &exponentialMemoKernels)
+	registerBuiltin(MeasureRWR, &rwrKernels)
 
 	Register(MeasureSimRank, factoryFor(MeasureSimRank,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -154,7 +136,7 @@ func init() {
 				return nil, err
 			}
 			return denseScores(m), nil
-		}, nil))
+		}))
 
 	Register(MeasureSimRankMatrix, factoryFor(MeasureSimRankMatrix,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -163,7 +145,7 @@ func init() {
 				return nil, err
 			}
 			return denseScores(m), nil
-		}, nil))
+		}))
 
 	Register(MeasurePRank, factoryFor(MeasurePRank,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -172,7 +154,7 @@ func init() {
 				return nil, err
 			}
 			return denseScores(m), nil
-		}, nil))
+		}))
 
 	Register(MeasurePRankMatrix, factoryFor(MeasurePRankMatrix,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -181,19 +163,7 @@ func init() {
 				return nil, err
 			}
 			return denseScores(m), nil
-		}, nil))
-
-	registerBuiltin(MeasureRWR, factoryFor(MeasureRWR,
-		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
-			m, err := rwr.AllPairsCtx(ctx, g, cfg.rwrOptions())
-			if err != nil {
-				return nil, err
-			}
-			return denseScores(m), nil
-		},
-		func(ctx context.Context, g *Graph, q int, cfg config) ([]float64, error) {
-			return rwr.SingleSourceFromTransition(ctx, sparse.ForwardTransition(g), q, cfg.rwrOptions())
-		}), &rwrKernels)
+		}))
 
 	Register(MeasureSparse, factoryFor(MeasureSparse,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
@@ -202,14 +172,14 @@ func init() {
 				return nil, err
 			}
 			return sparseScores(s), nil
-		}, nil))
+		}))
 
 	Register(MeasureCoCitation, factoryFor(MeasureCoCitation,
 		func(ctx context.Context, g *Graph, cfg config) (*Scores, error) {
 			// Non-iterative: the entry check in AllPairs is the only
 			// cancellation point.
 			return denseScores(classic.CoCitation(g)), nil
-		}, nil))
+		}))
 
 	// The paper's algorithm names.
 	RegisterAlias("iter-gsr*", MeasureGeometric)

@@ -101,7 +101,9 @@ func (m MinerOptions) internal() biclique.Options {
 	}
 }
 
-// WithC sets the damping factor in (0, 1). Default 0.6.
+// WithC sets the damping factor in (0, 1). Default 0.6, which 0 also
+// selects. Every call under any other value — NaN, negative or at least 1 —
+// returns an error instead of scores.
 func WithC(c float64) Option { return func(cfg *config) { cfg.c = c } }
 
 // WithK sets the iteration count (series truncation length). Default 5.
@@ -217,7 +219,7 @@ func buildConfig(opts []Option) config {
 }
 
 func (cfg config) coreOptions() core.Options {
-	return core.Options{C: cfg.c, K: cfg.k, Eps: cfg.eps, Sieve: cfg.sieve, Mine: cfg.miner.internal()}
+	return core.Options{C: cfg.c, K: cfg.k, Eps: cfg.eps, Sieve: cfg.sieve}
 }
 
 // iterations resolves the iteration count for measures whose options structs

@@ -47,9 +47,13 @@ func Register(name string, f Factory) {
 	register(name, regEntry{f: f})
 }
 
-// registerBuiltin is Register for this package's fast-path measures: the
-// entry carries the family's kernel row.
-func registerBuiltin(name string, f Factory, k *kernelFamily) {
+// registerBuiltin registers one of this package's fast-path measures: the
+// entry carries the family's kernel row, and its factory returns a
+// rowMeasure over that row.
+func registerBuiltin(name string, k *kernelFamily) {
+	f := func(opts ...Option) Measure {
+		return &rowMeasure{name: name, cfg: buildConfig(opts), k: k}
+	}
 	register(name, regEntry{f: f, kernels: k})
 }
 

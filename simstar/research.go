@@ -35,7 +35,7 @@ func init() {
 				return nil, err
 			}
 			return denseScores(m), nil
-		}, nil))
+		}))
 	RegisterAlias("mtx-sr", MeasureMtxSimRank)
 }
 

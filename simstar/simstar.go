@@ -10,9 +10,11 @@
 //     single-source queries under a context, so deadlines and cancellation
 //     work end-to-end.
 //   - Engine: per-graph preprocessing done once — the CSR transition
-//     matrices and the biclique edge-concentration compression — then
-//     reused by every query. The measures rebuild these structures per
-//     call; the Engine is what makes heavy query traffic affordable.
+//     matrices — then reused by every query. The measures rebuild these
+//     structures per call; the Engine is what makes heavy query traffic
+//     affordable. The biclique edge-concentration compression, which only
+//     the memo all-pairs runs read, is mined on demand: by an epoch's
+//     first such run, or by Engine.Compression.
 //
 // The served graph is dynamic: Engine.ApplyEdits streams edge insertions
 // and removals through a versioned store, each batch that changes the graph
