@@ -268,13 +268,15 @@ func (s *server) admit(weight int, h http.HandlerFunc) http.HandlerFunc {
 
 // maybeDegrade downgrades an eligible exact query to the certified
 // approximate path while the governor has the server in degraded mode.
-// Queries that already asked for a tolerance keep their own certificate,
-// and measures without a certified approximate kernel are never downgraded
-// — degrading them would trade a correct answer for an uncertified one.
-// Reports whether the query was downgraded, which the response surfaces as
-// the "degraded" marker next to the maxError certificate.
-func (s *server) maybeDegrade(q *simstar.Query, wantsTolerance bool) bool {
-	if !s.adm.isDegraded() || wantsTolerance || !simstar.HasCertifiedPath(q.Measure) {
+// Queries that keep their path (see queryJSON.keepsPath: they asked for a
+// tolerance, or run under a sieve, which the engine always answers
+// exactly) are left alone, and measures without a certified approximate
+// kernel are never downgraded — degrading them would trade a correct
+// answer for an uncertified one. Reports whether the query was downgraded,
+// which the response surfaces as the "degraded" marker next to the
+// maxError certificate.
+func (s *server) maybeDegrade(q *simstar.Query, keepsPath bool) bool {
+	if !s.adm.isDegraded() || keepsPath || !simstar.HasCertifiedPath(q.Measure) {
 		return false
 	}
 	q.Opts = append(q.Opts, simstar.WithTolerance(s.adm.cfg.DegradeTolerance))

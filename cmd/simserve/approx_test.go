@@ -107,6 +107,27 @@ func TestSingleQueryTolerance(t *testing.T) {
 	if !donor.Cached || donor.MaxError != 0 {
 		t.Fatalf("donor-served approx query: cached=%v maxError=%g, want cached exact", donor.Cached, donor.MaxError)
 	}
+
+	// Under options.sieve a tolerance query's scores lie within its
+	// maxError of the exact query's, sieve and all.
+	var sieved, exactSieved singleResponse
+	for _, c := range []struct {
+		resp  *singleResponse
+		query map[string]any
+	}{
+		{&sieved, map[string]any{"measure": "gsimrank*", "node": 2, "tolerance": 1e-6, "options": map[string]any{"sieve": 1e-2}}},
+		{&exactSieved, map[string]any{"measure": "gsimrank*", "node": 2, "options": map[string]any{"sieve": 1e-2}}},
+	} {
+		rec = doJSON(t, h, "POST", "/v1/query/single", c.query)
+		if err := json.Unmarshal(rec.Body.Bytes(), c.resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("sieve query %v: %d %v: %s", c.query, rec.Code, err, rec.Body)
+		}
+	}
+	for i := range exactSieved.Scores {
+		if diff := math.Abs(sieved.Scores[i] - exactSieved.Scores[i]); diff > sieved.MaxError {
+			t.Fatalf("node %d: sieve with tolerance off the exact query by %g, maxError %g", i, diff, sieved.MaxError)
+		}
+	}
 }
 
 // The nested options.tolerance spelling must behave identically to the

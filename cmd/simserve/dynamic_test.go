@@ -154,7 +154,7 @@ func TestSnapshotEndpointAndWarmRestart(t *testing.T) {
 		t.Fatalf("reloaded epoch %d, %d nodes, %d edges", epoch, g.N(), g.M())
 	}
 	s2 := newServer()
-	s2.swap(simstar.NewEngine(g, simstar.WithBaseEpoch(epoch)))
+	s2.swap(simstar.NewEngine(g, simstar.WithBaseEpoch(epoch)), false)
 	if got := s2.engine().Epoch(); got != 1 {
 		t.Fatalf("warm engine epoch = %d, want 1", got)
 	}

@@ -159,7 +159,7 @@ func main() {
 		if g != nil {
 			engOpts := srv.engineOptions(append(opts(), simstar.WithBaseEpoch(epoch)))
 			eng := simstar.NewEngine(g, engOpts...)
-			srv.swap(eng, engOpts...)
+			srv.swap(eng, false, engOpts...)
 			st := eng.Stats()
 			log.Printf("simserve: serving %s: %d nodes, %d edges, epoch %d",
 				src, st.Nodes, st.Edges, st.Epoch)

@@ -149,9 +149,14 @@ func TestDegradedModeCertified(t *testing.T) {
 		t.Fatalf("unloaded server degraded a query: %+v", exact)
 	}
 
-	s.adm.mu.Lock()
-	s.adm.degraded = true
-	s.adm.mu.Unlock()
+	// Each release re-evaluates the watermarks and, on this idle server,
+	// leaves degraded mode, so each case below enters it first.
+	degrade := func() {
+		s.adm.mu.Lock()
+		s.adm.degraded = true
+		s.adm.mu.Unlock()
+	}
+	degrade()
 
 	var deg singleResponse
 	rec = doJSON(t, h, "POST", "/v1/query/single", singleQuery("gsimrank*"))
@@ -183,6 +188,7 @@ func TestDegradedModeCertified(t *testing.T) {
 	// degrade), and a measure without a certified path is never downgraded.
 	withTol := singleQuery("gsimrank*")
 	withTol["tolerance"] = 1e-6
+	degrade()
 	rec = doJSON(t, h, "POST", "/v1/query/single", withTol)
 	var own singleResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &own); err != nil {
@@ -191,6 +197,7 @@ func TestDegradedModeCertified(t *testing.T) {
 	if own.Degraded || own.MaxError > 1e-6 {
 		t.Fatalf("tolerance query was degraded: %+v", own)
 	}
+	degrade()
 	rec = doJSON(t, h, "POST", "/v1/query/single", singleQuery("simrank"))
 	var sr singleResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
@@ -198,6 +205,19 @@ func TestDegradedModeCertified(t *testing.T) {
 	}
 	if rec.Code != http.StatusOK || sr.Degraded || sr.MaxError != 0 {
 		t.Fatalf("uncertified measure was degraded: %d %+v", rec.Code, sr)
+	}
+	// A sieve makes the engine answer exactly whatever the tolerance, so a
+	// query carrying one is never marked degraded.
+	sieved := singleQuery("gsimrank*")
+	sieved["options"] = map[string]any{"sieve": 1e-3}
+	degrade()
+	rec = doJSON(t, h, "POST", "/v1/query/single", sieved)
+	var sv singleResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sv); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || sv.Degraded || sv.MaxError != 0 {
+		t.Fatalf("sieve query was degraded: %d %+v", rec.Code, sv)
 	}
 }
 
@@ -263,6 +283,19 @@ func TestDeadlineMSAnswers504(t *testing.T) {
 	})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("expired batch deadline answered %d, want 504: %s", rec.Code, rec.Body)
+	}
+
+	// A per-query deadline is that query's alone: of two identical batch
+	// queries, only the first carrying deadline_ms, the second answers.
+	rec = doJSON(t, h, "POST", "/v1/query/batch", map[string]any{
+		"queries": []map[string]any{q, singleQuery("gsimrank*")},
+	})
+	var resp batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("batch with one per-query deadline: %d %v: %s", rec.Code, err, rec.Body)
+	}
+	if resp.Results[0].Error == "" || resp.Results[1].Error != "" || len(resp.Results[1].Scores) == 0 {
+		t.Fatalf("only the query with deadline_ms must fail: %+v", resp.Results)
 	}
 }
 

@@ -32,9 +32,12 @@ type server struct {
 	// engOpts are the options eng was built with: a query's iteration count
 	// resolves against them plus its own (see maxIterations).
 	engOpts []simstar.Option
-	loaded  time.Time
-	started time.Time
-	served  atomic.Int64
+	// engSieve records that engOpts set a sieve, which a query inherits
+	// unless it sets its own (see maybeDegrade).
+	engSieve bool
+	loaded   time.Time
+	started  time.Time
+	served   atomic.Int64
 
 	// snapPath, when set with -snapshot, is where POST /v1/snapshot persists
 	// the current epoch for warm restarts. snapMu serialises writers so two
@@ -93,13 +96,13 @@ func (s *server) engine() *simstar.Engine {
 	return s.eng
 }
 
-// swap installs a freshly-built engine and the options it was built with.
-// The previous engine's result cache dies with it — exactly the
-// invalidation-on-graph-change the cache design wants, with no epochs or
-// locks on the query path.
-func (s *server) swap(eng *simstar.Engine, opts ...simstar.Option) {
+// swap installs a freshly-built engine, the options it was built with and
+// whether they set a sieve. The previous engine's result cache dies with
+// it — exactly the invalidation-on-graph-change the cache design wants,
+// with no epochs or locks on the query path.
+func (s *server) swap(eng *simstar.Engine, sieve bool, opts ...simstar.Option) {
 	s.mu.Lock()
-	s.eng, s.engOpts = eng, opts
+	s.eng, s.engOpts, s.engSieve = eng, opts, sieve
 	s.loaded = time.Now()
 	s.mu.Unlock()
 }
@@ -181,12 +184,16 @@ const (
 )
 
 // checkIterations rejects options under which a query would run more than
-// maxIterations iterations; opts apply on top of base, the served engine's
+// maxIterations iterations, or none (an eps at or above c, which every
+// engine read refuses); opts apply on top of base, the served engine's
 // options. Every built-in measure resolves at most
 // simstar.IterationsGeometric's count from c, k and eps.
 func checkIterations(base, opts []simstar.Option) error {
-	if k := simstar.IterationsGeometric(slices.Concat(base, opts)...); k > maxIterations {
+	switch k := simstar.IterationsGeometric(slices.Concat(base, opts)...); {
+	case k > maxIterations:
 		return fmt.Errorf("options resolve %d iterations, over the limit of %d", k, maxIterations)
+	case k == 0:
+		return errors.New("options resolve zero iterations: eps must lie below c")
 	}
 	return nil
 }
@@ -243,6 +250,15 @@ func (o *optionsJSON) options() []simstar.Option {
 		opts = append(opts, simstar.WithCacheSize(*o.CacheSize))
 	}
 	return opts
+}
+
+// sieve reports whether a query or engine with these options runs under a
+// sieve: its own options.sieve when set, else inherited, the engine's.
+func (o *optionsJSON) sieve(inherited bool) bool {
+	if o == nil || o.Sieve == nil {
+		return inherited
+	}
+	return *o.Sieve > 0
 }
 
 // graphRequest loads or replaces the served graph. Exactly one of EdgeList
@@ -339,7 +355,7 @@ func (s *server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := s.engineOptions(req.Options.options())
 	eng := simstar.NewEngine(g, opts...)
-	s.swap(eng, opts...)
+	s.swap(eng, req.Options.sieve(false), opts...)
 	writeJSON(w, http.StatusOK, engineStatsJSON(eng.Stats()))
 }
 
@@ -476,6 +492,16 @@ func (q *queryJSON) wantsTolerance() bool {
 	return q.Tolerance != nil || (q.Options != nil && q.Options.Tolerance != nil)
 }
 
+// keepsPath reports whether the degradation governor must leave the query
+// on the path it asked for: it asked for its own tolerance, or it runs
+// under a sieve (its own, or engineSieve inherited from the engine), which
+// makes the engine answer it exactly whatever the tolerance (see
+// simstar.WithTolerance) — degrading it would mark an exact answer
+// degraded.
+func (q *queryJSON) keepsPath(engineSieve bool) bool {
+	return q.wantsTolerance() || q.Options.sieve(engineSieve)
+}
+
 // resolveNode maps the wire query to a node id on g.
 func (q *queryJSON) resolveNode(g *simstar.Graph) (int, error) {
 	switch {
@@ -530,16 +556,16 @@ func (q *queryJSON) toQuery(g *simstar.Graph, base []simstar.Option) (simstar.Qu
 	}, nil
 }
 
-// requireEngine fetches the current engine and the options it was built
-// with, or answers 409.
-func (s *server) requireEngine(w http.ResponseWriter) (*simstar.Engine, []simstar.Option) {
+// requireEngine fetches the current engine, the options it was built with
+// and whether they set a sieve, or answers 409.
+func (s *server) requireEngine(w http.ResponseWriter) (*simstar.Engine, []simstar.Option, bool) {
 	s.mu.RLock()
-	eng, opts := s.eng, s.engOpts
+	eng, opts, sieve := s.eng, s.engOpts, s.engSieve
 	s.mu.RUnlock()
 	if eng == nil {
 		writeError(w, http.StatusConflict, errors.New("no graph loaded; POST /v1/graph first"))
 	}
-	return eng, opts
+	return eng, opts, sieve
 }
 
 func decodeQuery(w http.ResponseWriter, r *http.Request, g *simstar.Graph, base []simstar.Option) (simstar.Query, *queryJSON, bool) {
@@ -576,7 +602,7 @@ type singleResponse struct {
 }
 
 func (s *server) handleSingle(w http.ResponseWriter, r *http.Request) {
-	eng, base := s.requireEngine(w)
+	eng, base, sieve := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
@@ -588,7 +614,7 @@ func (s *server) handleSingle(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("stream is only supported on the topk and batch endpoints"))
 		return
 	}
-	degraded := s.maybeDegrade(&q, qj.wantsTolerance())
+	degraded := s.maybeDegrade(&q, qj.keepsPath(sieve))
 	if traceWanted(r) {
 		q.Trace = &obs.Trace{}
 	}
@@ -653,7 +679,7 @@ type topKResponse struct {
 }
 
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	eng, base := s.requireEngine(w)
+	eng, base, sieve := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
@@ -661,7 +687,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	degraded := s.maybeDegrade(&q, qj.wantsTolerance())
+	degraded := s.maybeDegrade(&q, qj.keepsPath(sieve))
 	if traceWanted(r) {
 		q.Trace = &obs.Trace{}
 	}
@@ -731,7 +757,7 @@ type batchResponse struct {
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	eng, base := s.requireEngine(w)
+	eng, base, sieve := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
@@ -776,7 +802,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = batchResultJSON{Label: req.Queries[i].Label, Error: err.Error()}
 			continue
 		}
-		degraded = append(degraded, s.maybeDegrade(&q, req.Queries[i].wantsTolerance()))
+		degraded = append(degraded, s.maybeDegrade(&q, req.Queries[i].keepsPath(sieve)))
 		queries = append(queries, q)
 		slot = append(slot, i)
 	}
@@ -908,7 +934,7 @@ func (s *server) handleEditEdges(w http.ResponseWriter, r *http.Request) {
 	for _, e := range req.Delete {
 		edits = append(edits, simstar.DeleteEdge(e[0], e[1]))
 	}
-	eng, _ := s.requireEngine(w)
+	eng, _, _ := s.requireEngine(w)
 	if eng == nil {
 		return
 	}
@@ -939,7 +965,7 @@ type snapshotResponse struct {
 // (write to a temp file, then rename, so a crash mid-write never corrupts
 // the warm-restart image). 409 when the server was started without one.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	eng, _ := s.requireEngine(w)
+	eng, _, _ := s.requireEngine(w)
 	if eng == nil {
 		return
 	}

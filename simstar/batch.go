@@ -64,8 +64,10 @@ type Result struct {
 // fill — so a batch saves work over a serial loop in two ways only:
 //
 //   - Deduplication: queries with the same cache key (canonical measure,
-//     parameters, node) compute once, and each duplicate receives its own
-//     copy of the answer.
+//     parameters, node) and the same deadline and fault hook compute once,
+//     and each duplicate receives its own copy of the answer. The cache key
+//     strips those two knobs, but either can fail a query, so one query's
+//     budget or injected fault never decides a duplicate's outcome.
 //   - Fan-out: the distinct queries spread across a worker pool
 //     (WithWorkers bounds it; the default is one worker per CPU), handed
 //     out one at a time from a shared counter so one expensive query does
@@ -91,7 +93,17 @@ func (e *Engine) BatchTopK(ctx context.Context, queries []Query) []Result {
 	return e.batch(ctx, queries, true)
 }
 
-// batchGroup is the queries of one batch that share a cache key: idx lists
+// batchKey is what a batch dedupes on: the result-cache key plus the two
+// knobs cacheParams strips that can still fail a query — its deadline and
+// its fault hook (compared by identity, so hooks from separate With calls
+// never merge).
+type batchKey struct {
+	cacheKey
+	deadline time.Duration
+	fault    *faultHook
+}
+
+// batchGroup is the queries of one batch that share a batchKey: idx lists
 // their positions, the representative (which computes) first, eng carries
 // the representative's per-query options, and tr is the trace the
 // computation fills — the first one the group's queries carry, or nil.
@@ -110,13 +122,13 @@ func (e *Engine) batch(ctx context.Context, queries []Query, topk bool) []Result
 		o.qBatch.Add(uint64(len(queries)))
 	}
 	var groups []batchGroup
-	byKey := make(map[cacheKey]int, len(queries))
+	byKey := make(map[batchKey]int, len(queries))
 	for i, q := range queries {
 		eng := e
 		if len(q.Opts) > 0 {
 			eng = e.With(q.Opts...)
 		}
-		key := eng.resultKey(st, q.Measure, q.Node)
+		key := batchKey{eng.resultKey(st, q.Measure, q.Node), eng.cfg.deadline, eng.cfg.fault}
 		if g, seen := byKey[key]; seen {
 			groups[g].idx = append(groups[g].idx, i)
 			if groups[g].tr == nil {

@@ -25,39 +25,6 @@ func firstBitDiff(got, want []float64) int {
 	return -1
 }
 
-// The batch path must be a pure performance construct: for every registered
-// measure, MultiSource answers bitwise what per-query SingleSource answers.
-// The cache is disabled so the comparison pits every batch answer against
-// a genuine per-query recomputation, not against its own cached output.
-func TestMultiSourceMatchesSingleSource(t *testing.T) {
-	g := toyGraph(t)
-	ctx := context.Background()
-	eng := simstar.NewEngine(g, simstar.WithC(0.6), simstar.WithK(4), simstar.WithCacheSize(-1))
-	var queries []simstar.Query
-	for _, name := range simstar.Names() {
-		for q := 0; q < g.N(); q += 2 {
-			queries = append(queries, simstar.Query{Measure: name, Node: q})
-		}
-	}
-	results := eng.MultiSource(ctx, queries)
-	if len(results) != len(queries) {
-		t.Fatalf("got %d results for %d queries", len(results), len(queries))
-	}
-	for i, r := range results {
-		q := queries[i]
-		if r.Err != nil {
-			t.Fatalf("query %d (%s, node %d): %v", i, q.Measure, q.Node, r.Err)
-		}
-		want, err := eng.SingleSource(ctx, q.Measure, q.Node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j := firstBitDiff(r.Scores, want); j >= 0 {
-			t.Fatalf("query %d (%s, node %d): scores differ bitwise at %d", i, q.Measure, q.Node, j)
-		}
-	}
-}
-
 // A batch probes the result cache once per distinct key — the one probe a
 // lone SingleSource makes — and its duplicates probe nothing, so the cache
 // counters and the observer's read the same for a query whether it comes
@@ -133,173 +100,6 @@ func rankedSliceEqual(a, b []simstar.Ranked) bool {
 		}
 	}
 	return true
-}
-
-// BatchTopK must agree with Engine.TopK query by query, including the
-// exclusion list and the K boundary cases.
-func TestBatchTopKMatchesTopK(t *testing.T) {
-	g := toyGraph(t)
-	ctx := context.Background()
-	eng := simstar.NewEngine(g, simstar.WithK(6))
-	queries := []simstar.Query{
-		{Measure: simstar.MeasureGeometric, Node: 0, K: 3},
-		{Measure: simstar.MeasureRWR, Node: 1, K: 2, Exclude: []int{0}},
-		{Measure: simstar.MeasureExponential, Node: 2, K: 0},        // boundary: empty
-		{Measure: simstar.MeasureGeometric, Node: 3, K: 10 * g.N()}, // boundary: everything
-		{Measure: simstar.MeasureRWR, Node: 4, K: -3},               // boundary: empty
-	}
-	results := eng.BatchTopK(ctx, queries)
-	for i, r := range results {
-		q := queries[i]
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-		want, err := eng.TopK(ctx, q.Measure, q.Node, q.K, q.Exclude...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rankedSliceEqual(r.Top, want) {
-			t.Fatalf("query %d: Top = %v, want %v", i, r.Top, want)
-		}
-	}
-	if len(results[2].Top) != 0 || len(results[4].Top) != 0 {
-		t.Fatalf("K=0 and K=-3 queries returned %d and %d entries, want 0", len(results[2].Top), len(results[4].Top))
-	}
-	if len(results[3].Top) != g.N()-1 {
-		t.Fatalf("oversized-K query returned %d entries, want all %d candidates", len(results[3].Top), g.N()-1)
-	}
-}
-
-// The one-query BatchTopK, the call every served top-k read makes (streamed
-// or not), must match TopK bitwise — order, scores, tie-breaks — and carry
-// SingleSourceCertified's certificate, for every registered measure, exact
-// and tolerance-certified, with either read running first so both the cold
-// (kernel, cache fill) and the warm (cache-probe) batch are compared.
-func TestBatchTopKMatchesTopKAllMeasures(t *testing.T) {
-	ctx := context.Background()
-	tg := tieGraph(t)
-	base := []simstar.Option{simstar.WithC(0.6), simstar.WithK(4), simstar.WithRank(6)}
-	for _, v := range []struct {
-		name string
-		opts []simstar.Option
-	}{
-		{"exact", nil},
-		{"tolerance", []simstar.Option{simstar.WithTolerance(1e-3)}},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			eng := simstar.NewEngine(tg, append(append([]simstar.Option{}, base...), v.opts...)...)
-			for _, name := range simstar.Names() {
-				t.Run(name, func(t *testing.T) {
-					for qi, q := range []int{0, 5, 13} {
-						for ki, k := range []int{1, 5, tg.N() + 10} {
-							topK := func() []simstar.Ranked {
-								top, err := eng.TopK(ctx, name, q, k, 2)
-								if err != nil {
-									t.Fatal(err)
-								}
-								return top
-							}
-							var want []simstar.Ranked
-							if qi%2 == 0 {
-								want = topK()
-							}
-							res := eng.BatchTopK(ctx, []simstar.Query{{Measure: name, Node: q, K: k, Exclude: []int{2}}})[0]
-							if res.Err != nil {
-								t.Fatal(res.Err)
-							}
-							if want == nil {
-								want = topK()
-							}
-							if !rankedSliceEqual(res.Top, want) {
-								t.Fatalf("q=%d k=%d: one-query BatchTopK %v != TopK %v", q, k, res.Top, want)
-							}
-							// Only the very first read of a key misses.
-							if wantCached := qi%2 == 0 || ki > 0; res.Cached != wantCached {
-								t.Fatalf("q=%d k=%d: Cached = %v, want %v", q, k, res.Cached, wantCached)
-							}
-							_, wantErr, err := eng.SingleSourceCertified(ctx, name, q)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if res.MaxError != wantErr {
-								t.Fatalf("q=%d k=%d: MaxError %g, SingleSourceCertified %g", q, k, res.MaxError, wantErr)
-							}
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// Per-query Opts must behave exactly like Engine.With for that query alone.
-func TestMultiSourcePerQueryOverrides(t *testing.T) {
-	g := toyGraph(t)
-	ctx := context.Background()
-	eng := simstar.NewEngine(g, simstar.WithC(0.6), simstar.WithK(8))
-	queries := []simstar.Query{
-		{Measure: simstar.MeasureGeometric, Node: 1},
-		{Measure: simstar.MeasureGeometric, Node: 1, Opts: []simstar.Option{simstar.WithK(2)}},
-	}
-	results := eng.MultiSource(ctx, queries)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-	}
-	wantDefault, err := eng.SingleSource(ctx, simstar.MeasureGeometric, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOverride, err := eng.With(simstar.WithK(2)).SingleSource(ctx, simstar.MeasureGeometric, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	differs := false
-	for j := range wantDefault {
-		if results[0].Scores[j] != wantDefault[j] {
-			t.Fatalf("default query: scores[%d] = %g, want %g", j, results[0].Scores[j], wantDefault[j])
-		}
-		if results[1].Scores[j] != wantOverride[j] {
-			t.Fatalf("override query: scores[%d] = %g, want %g", j, results[1].Scores[j], wantOverride[j])
-		}
-		if wantDefault[j] != wantOverride[j] {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Fatal("K=8 and K=2 gave identical vectors; the override was not applied")
-	}
-}
-
-// One bad query must fail alone, not take the batch down with it, in
-// either batch call.
-func TestMultiSourcePerQueryErrors(t *testing.T) {
-	g := toyGraph(t)
-	eng := simstar.NewEngine(g, simstar.WithK(4))
-	queries := []simstar.Query{
-		{Measure: simstar.MeasureGeometric, Node: 0, K: 3},
-		{Measure: "no-such-measure", Node: 0, K: 3},
-		{Measure: simstar.MeasureGeometric, Node: g.N() + 5, K: 3},
-		{Measure: simstar.MeasureRWR, Node: 2, K: 3},
-	}
-	for _, results := range [][]simstar.Result{
-		eng.MultiSource(context.Background(), queries),
-		eng.BatchTopK(context.Background(), queries),
-	} {
-		if results[0].Err != nil || results[3].Err != nil {
-			t.Fatalf("good queries failed: %v, %v", results[0].Err, results[3].Err)
-		}
-		if results[1].Err == nil {
-			t.Fatal("unknown measure must error")
-		}
-		if results[2].Err == nil {
-			t.Fatal("out-of-range node must error")
-		}
-		if results[1].Scores != nil || results[2].Scores != nil || results[1].Top != nil || results[2].Top != nil {
-			t.Fatal("failed queries must not carry answers")
-		}
-	}
 }
 
 // A cancelled context reaches every query: the running ones abort in their

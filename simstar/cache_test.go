@@ -4,10 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/simstar"
 )
 
@@ -51,170 +49,6 @@ func TestCacheHitMiss(t *testing.T) {
 	st = eng.CacheStats()
 	if st.Hits != 1 || st.Misses != 4 || st.Size != 4 {
 		t.Fatalf("after distinct keys: %+v, want 1 hit, 4 misses, size 4", st)
-	}
-}
-
-// The ownership rule at every entry point that hands out a vector: with the
-// cache on, reads share one read-only cache entry, and each of these calls
-// returns its own copy. Each case overwrites what its first call returned;
-// every later read of the same key, by vector or by ranking, must still
-// return the original bits. The last case overwrites instead the slice a
-// registered Measure returned and kept, which the engine does not own and
-// must have copied before caching.
-func TestCacheReturnsPrivateCopies(t *testing.T) {
-	g := toyGraph(t)
-	ctx := context.Background()
-	const q = 0
-	n := g.N()
-	keeping := keepingMeasure{name: "test-keeps-slice", last: new(atomic.Pointer[[]float64])}
-	simstar.RegisterForTest(t, keeping.name, func(...simstar.Option) simstar.Measure { return keeping })
-
-	type vectorRead func(eng *simstar.Engine, measure string) ([]float64, error)
-	singleSource := func(eng *simstar.Engine, m string) ([]float64, error) {
-		return eng.SingleSource(ctx, m, q)
-	}
-	certified := func(eng *simstar.Engine, m string) ([]float64, error) {
-		scores, _, err := eng.SingleSourceCertified(ctx, m, q)
-		return scores, err
-	}
-	multiSlot := func(slot int) vectorRead {
-		return func(eng *simstar.Engine, m string) ([]float64, error) {
-			res := eng.MultiSource(ctx, []simstar.Query{{Measure: m, Node: q}, {Measure: m, Node: q}})
-			return res[slot].Scores, res[slot].Err
-		}
-	}
-	traced := func(eng *simstar.Engine, m string) ([]float64, error) {
-		res := eng.MultiSource(ctx, []simstar.Query{{Measure: m, Node: q, Trace: &obs.Trace{}}})
-		return res[0].Scores, res[0].Err
-	}
-	into := func(eng *simstar.Engine, m string) ([]float64, error) {
-		return eng.SingleSourceInto(ctx, m, q, nil)
-	}
-	vectorReads := []struct {
-		name string
-		read vectorRead
-	}{
-		{"SingleSource", singleSource},
-		{"SingleSourceCertified", certified},
-		{"MultiSource", multiSlot(0)},
-		{"MultiSource/traced", traced},
-		{"SingleSourceInto", into},
-	}
-	rankReads := []struct {
-		name string
-		read func(eng *simstar.Engine, measure string) ([]simstar.Ranked, error)
-	}{
-		{"TopK", func(eng *simstar.Engine, m string) ([]simstar.Ranked, error) {
-			return eng.TopK(ctx, m, q, n)
-		}},
-		{"BatchTopK", func(eng *simstar.Engine, m string) ([]simstar.Ranked, error) {
-			res := eng.BatchTopK(ctx, []simstar.Query{{Measure: m, Node: q, K: n}})
-			return res[0].Top, res[0].Err
-		}},
-		{"BatchTopK/traced", func(eng *simstar.Engine, m string) ([]simstar.Ranked, error) {
-			res := eng.BatchTopK(ctx, []simstar.Query{{Measure: m, Node: q, K: n, Trace: &obs.Trace{}}})
-			return res[0].Top, res[0].Err
-		}},
-	}
-
-	overwriteResult := func(got []float64) {
-		for i := range got {
-			got[i] = -1
-		}
-	}
-	for _, tc := range []struct {
-		name      string
-		measure   string
-		first     vectorRead
-		overwrite func(got []float64)
-	}{
-		{"SingleSource", simstar.MeasureGeometric, singleSource, overwriteResult},
-		{"SingleSourceCertified", simstar.MeasureGeometric, certified, overwriteResult},
-		{"MultiSource/representative", simstar.MeasureGeometric, multiSlot(0), overwriteResult},
-		{"MultiSource/duplicate", simstar.MeasureGeometric, multiSlot(1), overwriteResult},
-		{"MultiSource/traced", simstar.MeasureGeometric, traced, overwriteResult},
-		{"SingleSourceInto/no-kernel-row", simstar.MeasureSimRank, into, overwriteResult},
-		{"Measure/keeps-returned-slice", keeping.name, singleSource, func([]float64) { keeping.scribble() }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := simstar.NewEngine(g, simstar.WithK(5))
-			if eng.CacheStats().Capacity == 0 {
-				t.Fatal("cache is off")
-			}
-			got, err := tc.first(eng, tc.measure)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := append([]float64(nil), got...)
-			tc.overwrite(got)
-			for _, r := range vectorReads {
-				again, err := r.read(eng, tc.measure)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if j := firstBitDiff(again, want); j >= 0 {
-					t.Fatalf("%s after the overwrite: [%d] = %g, want %g", r.name, j, again[j], want[j])
-				}
-			}
-			wantTop := simstar.TopK(want, n, q)
-			for _, r := range rankReads {
-				top, err := r.read(eng, tc.measure)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rankedSliceEqual(top, wantTop) {
-					t.Fatalf("%s after the overwrite = %v, want %v", r.name, top, wantTop)
-				}
-			}
-		})
-	}
-}
-
-// keepingMeasure is a registered Measure that keeps the slice its last
-// SingleSource returned, and scribble overwrites that slice afterwards, as
-// a measure reusing its output buffer would. Its scores depend on the query
-// node, so a vector served for the wrong node shows too.
-type keepingMeasure struct {
-	name string
-	last *atomic.Pointer[[]float64]
-}
-
-func (m keepingMeasure) Name() string { return m.name }
-
-func (m keepingMeasure) row(n, q int) []float64 {
-	row := make([]float64, n)
-	for i := range row {
-		row[i] = 1 / float64(1+max(i-q, q-i))
-	}
-	return row
-}
-
-func (m keepingMeasure) AllPairs(ctx context.Context, g *simstar.Graph) (*simstar.Scores, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rows := make([][]float64, g.N())
-	for q := range rows {
-		rows[q] = m.row(g.N(), q)
-	}
-	return simstar.ScoresFromRows(rows), nil
-}
-
-func (m keepingMeasure) SingleSource(ctx context.Context, g *simstar.Graph, q int) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	row := m.row(g.N(), q)
-	m.last.Store(&row)
-	return row, nil
-}
-
-// scribble overwrites the slice SingleSource returned last.
-func (m keepingMeasure) scribble() {
-	if p := m.last.Load(); p != nil {
-		for i := range *p {
-			(*p)[i] = -1
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package simstar_test
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
 	"repro/simstar"
@@ -28,46 +27,6 @@ func toyGraph(t testing.TB) *simstar.Graph {
 		t.Fatal(err)
 	}
 	return g
-}
-
-// Every registered measure must satisfy the interface contract:
-// SingleSource(q) equals row q of AllPairs on the same graph and options.
-func TestMeasureConformanceSingleSourceIsAllPairsRow(t *testing.T) {
-	g := toyGraph(t)
-	ctx := context.Background()
-	for _, name := range simstar.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			m, err := simstar.Lookup(name, simstar.WithC(0.6), simstar.WithK(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Name() != name {
-				t.Fatalf("Name() = %q, want %q", m.Name(), name)
-			}
-			all, err := m.AllPairs(ctx, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if all.N() != g.N() {
-				t.Fatalf("AllPairs N = %d, want %d", all.N(), g.N())
-			}
-			for q := 0; q < g.N(); q++ {
-				row, err := m.SingleSource(ctx, g, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(row) != g.N() {
-					t.Fatalf("q=%d: row length %d, want %d", q, len(row), g.N())
-				}
-				for j, v := range row {
-					if want := all.At(q, j); math.Abs(v-want) > 1e-10 {
-						t.Fatalf("q=%d j=%d: SingleSource %g != AllPairs %g", q, j, v, want)
-					}
-				}
-			}
-		})
-	}
 }
 
 // Every registered measure must honour context cancellation, reporting

@@ -311,8 +311,9 @@ func (e *Engine) SingleSourceCertified(ctx context.Context, measureName string, 
 
 // own returns a vector the caller may keep and mutate. With the result
 // cache on, the read path returns the shared, read-only cache entry, so own
-// copies it; with the cache off the vector is a fresh kernel or measure
-// output the engine keeps no reference to, and own returns it as is.
+// copies it; with the cache off the vector is a fresh kernel output, or a
+// copy of a registered measure's, that no one else references, and own
+// returns it as is.
 func (e *Engine) own(scores []float64) []float64 {
 	if e.cache == nil {
 		return scores
@@ -425,15 +426,16 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 	if tr != nil {
 		tr.AddSpan("kernel", kernelTime)
 		tr.MaxError = maxErr
-		if k != nil && e.cfg.tolerance >= MinTolerance {
+		if k != nil && e.cfg.sieved() {
 			tr.Plan = "sieved"
 		} else {
 			tr.Plan = "exact"
 		}
 	}
-	if k == nil && e.cache != nil {
+	if k == nil {
 		// A registered Measure's vector is not the engine's: the measure
-		// may keep the slice and write it later, so the entry is a copy.
+		// may keep the slice and write it later, so what the engine caches
+		// or, with the cache off, hands out is a copy.
 		scores = append([]float64(nil), scores...)
 	}
 	e.cache.put(key, scores, maxErr)
@@ -442,15 +444,15 @@ func (e *Engine) singleSourceObs(ctx context.Context, st *engineState, measureNa
 
 // computeSingleSource is the kernel step of the allocating single-source
 // read path, behind the panic isolation boundary. A measure with a kernel
-// row k runs its exact kernel through runExact, or its sieved kernel under
-// an effective WithTolerance, on the cached transition matrices; any other
-// measure runs its own implementation. The second return is the MaxError
-// certificate (0 on every exact path). kt, when non-nil, receives the
-// kernel detail of the fast paths (other measures report nothing — their
-// kernels are opaque to the engine).
+// row k runs its exact kernel through runExact, or its sieved kernel when
+// the config is sieved (a tolerance and no sieve), on the cached
+// transition matrices; any other measure runs its own implementation. The
+// second return is the MaxError certificate (0 on every exact path). kt,
+// when non-nil, receives the kernel detail of the fast paths (other
+// measures report nothing — their kernels are opaque to the engine).
 func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, k *kernelFamily, measureName string, q int, kt *obs.KernelTrace) (scores []float64, maxErr float64, err error) {
 	defer e.recoverKernel(&err)
-	if k != nil && e.cfg.tolerance < MinTolerance {
+	if k != nil && !e.cfg.sieved() {
 		scores = make([]float64, st.g.N())
 		if err := e.runExact(ctx, st, k, q, scores, kt); err != nil {
 			return nil, 0, err
@@ -492,8 +494,9 @@ func (e *Engine) computeSingleSource(ctx context.Context, st *engineState, k *ke
 // variants, and RWR) run on the engine's pooled kernel workspaces and
 // bypass the result cache entirely — a warmed engine performs zero heap
 // allocations per call. Other measures, and engines configured with
-// WithTolerance, fall back to the read path SingleSource takes (result
-// cache included) and copy its vector into dst.
+// WithTolerance (unless a WithSieve makes the query exact), fall back to
+// the read path SingleSource takes (result cache included) and copy its
+// vector into dst.
 //
 //simstar:noalloc
 func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int, dst []float64) (_ []float64, err error) {
@@ -517,7 +520,7 @@ func (e *Engine) SingleSourceInto(ctx context.Context, measureName string, q int
 	} else {
 		dst = dst[:n]
 	}
-	if k := kernelsFor(measureName); k != nil && e.cfg.tolerance < MinTolerance {
+	if k := kernelsFor(measureName); k != nil && !e.cfg.sieved() {
 		if o := e.cfg.observer; o != nil {
 			o.qSingle.Inc()
 		}
@@ -587,8 +590,10 @@ func (e *Engine) AllPairs(ctx context.Context, measureName string) (_ *Scores, e
 	return m.AllPairs(ctx, st.g)
 }
 
-// checkRun rejects a call before any work: a done ctx, or a damping factor
-// no measure can run — NaN, negative or at least 1 (0 selects the default).
+// checkRun rejects a call before any work: a done ctx, a damping factor no
+// measure can run — NaN, negative or at least 1 (0 selects the default) —
+// or an eps that resolves zero iterations (at or above C, or NaN), which
+// the measures whose K <= 0 selects their default would run at K = 5.
 // Engine reads, AllPairs and the Measure adapters all run it.
 func (cfg config) checkRun(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
@@ -596,6 +601,9 @@ func (cfg config) checkRun(ctx context.Context) error {
 	}
 	if !(cfg.c >= 0 && cfg.c < 1) {
 		return fmt.Errorf("simstar: damping factor C = %g outside (0, 1)", cfg.c)
+	}
+	if cfg.eps != 0 && cfg.coreOptions().IterationsGeometric() == 0 {
+		return fmt.Errorf("simstar: eps = %g resolves zero iterations; it must lie below the damping factor", cfg.eps)
 	}
 	return nil
 }

@@ -3,102 +3,12 @@ package simstar_test
 import (
 	"context"
 	"errors"
-	"math"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/simstar"
 )
-
-// Engine queries must return exactly what the standalone measures return —
-// the cache changes the cost, never the answer.
-func TestEngineMatchesMeasures(t *testing.T) {
-	g := toyGraph(t)
-	opts := []simstar.Option{simstar.WithC(0.6), simstar.WithK(5)}
-	eng := simstar.NewEngine(g, opts...)
-	for _, name := range []string{
-		simstar.MeasureGeometric, simstar.MeasureGeometricMemo,
-		simstar.MeasureExponential, simstar.MeasureExponentialMemo,
-		simstar.MeasureSimRank, simstar.MeasureSimRankMatrix,
-		simstar.MeasurePRank, simstar.MeasureRWR, simstar.MeasureSparse,
-	} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			ctx := context.Background()
-			m, err := simstar.Lookup(name, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantAll, err := m.AllPairs(ctx, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotAll, err := eng.AllPairs(ctx, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < g.N(); i++ {
-				for j := 0; j < g.N(); j++ {
-					if d := math.Abs(gotAll.At(i, j) - wantAll.At(i, j)); d > 1e-12 {
-						t.Fatalf("AllPairs(%d,%d) differs by %g", i, j, d)
-					}
-				}
-			}
-			want, err := m.SingleSource(ctx, g, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.SingleSource(ctx, name, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range want {
-				if d := math.Abs(got[j] - want[j]); d > 1e-12 {
-					t.Fatalf("SingleSource[%d] differs by %g", j, d)
-				}
-			}
-		})
-	}
-}
-
-func TestEngineTopK(t *testing.T) {
-	g := toyGraph(t)
-	eng := simstar.NewEngine(g, simstar.WithK(8))
-	ctx := context.Background()
-	q, _ := g.NodeByLabel("followup1")
-	top, err := eng.TopK(ctx, simstar.MeasureGeometric, q, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 3 {
-		t.Fatalf("got %d results, want 3", len(top))
-	}
-	scores, _ := eng.SingleSource(ctx, simstar.MeasureGeometric, q)
-	want := simstar.TopK(scores, 3, q)
-	for i := range want {
-		if top[i] != want[i] {
-			t.Fatalf("TopK[%d] = %+v, want %+v", i, top[i], want[i])
-		}
-	}
-	for _, r := range top {
-		if r.Node == q {
-			t.Fatal("TopK must exclude the query node")
-		}
-	}
-	// Exclusions drop the named nodes from the ranking.
-	ex := want[0].Node
-	top2, err := eng.TopK(ctx, simstar.MeasureGeometric, q, 3, ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range top2 {
-		if r.Node == ex {
-			t.Fatalf("excluded node %d present in result", ex)
-		}
-	}
-}
 
 // The engine must serve concurrent queries off its shared caches: same
 // answers under contention as alone.
@@ -206,84 +116,6 @@ func TestEngineHonoursRegistryOverride(t *testing.T) {
 	}
 }
 
-// A damping factor no measure can run — NaN, negative or at least 1 — is
-// refused by every entry point, through the engine and through both
-// Measure adapters, before any kernel runs; 0 keeps selecting the default.
-func TestOutOfRangeCRefused(t *testing.T) {
-	g := toyGraph(t)
-	ctx := context.Background()
-	eng := simstar.NewEngine(g)
-	lookup := func(name string, o simstar.Option) simstar.Measure {
-		m, err := simstar.Lookup(name, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	const name = simstar.MeasureGeometric
-	calls := []struct {
-		entry string
-		call  func(o simstar.Option) error
-	}{
-		{"SingleSource", func(o simstar.Option) error {
-			_, err := eng.With(o).SingleSource(ctx, name, 1)
-			return err
-		}},
-		{"SingleSourceCertified/sieved", func(o simstar.Option) error {
-			_, _, err := eng.With(o, simstar.WithTolerance(1e-3)).SingleSourceCertified(ctx, name, 1)
-			return err
-		}},
-		{"SingleSourceInto", func(o simstar.Option) error {
-			_, err := eng.With(o).SingleSourceInto(ctx, name, 1, nil)
-			return err
-		}},
-		{"TopK", func(o simstar.Option) error {
-			_, err := eng.With(o).TopK(ctx, simstar.MeasureRWR, 1, 3)
-			return err
-		}},
-		{"MultiSource", func(o simstar.Option) error {
-			return eng.MultiSource(ctx, []simstar.Query{{Measure: name, Node: 1, Opts: []simstar.Option{o}}})[0].Err
-		}},
-		{"BatchTopK", func(o simstar.Option) error {
-			return eng.BatchTopK(ctx, []simstar.Query{{Measure: simstar.MeasurePRank, Node: 1, K: 3, Opts: []simstar.Option{o}}})[0].Err
-		}},
-		{"AllPairs", func(o simstar.Option) error {
-			_, err := eng.With(o).AllPairs(ctx, simstar.MeasureGeometricMemo)
-			return err
-		}},
-		{"Lookup(rwr).AllPairs", func(o simstar.Option) error {
-			_, err := lookup(simstar.MeasureRWR, o).AllPairs(ctx, g)
-			return err
-		}},
-		{"Lookup(rwr).SingleSource", func(o simstar.Option) error {
-			_, err := lookup(simstar.MeasureRWR, o).SingleSource(ctx, g, 1)
-			return err
-		}},
-		{"Lookup(simrank).AllPairs", func(o simstar.Option) error {
-			_, err := lookup(simstar.MeasureSimRank, o).AllPairs(ctx, g)
-			return err
-		}},
-		{"Lookup(simrank).SingleSource", func(o simstar.Option) error {
-			_, err := lookup(simstar.MeasureSimRank, o).SingleSource(ctx, g, 1)
-			return err
-		}},
-	}
-	for _, c := range []float64{math.NaN(), math.Inf(-1), -0.1, 1, 1.5} {
-		for _, tc := range calls {
-			if err := tc.call(simstar.WithC(c)); err == nil || !strings.Contains(err.Error(), "damping factor") {
-				t.Errorf("%s with C = %g: err = %v, want the damping-factor error", tc.entry, c, err)
-			}
-		}
-	}
-	for _, c := range []float64{0, 0.5} {
-		for _, tc := range calls {
-			if err := tc.call(simstar.WithC(c)); err != nil {
-				t.Errorf("%s with C = %g: %v", tc.entry, c, err)
-			}
-		}
-	}
-}
-
 // A factory that re-registers a built-in name to return the Measure an
 // earlier Lookup of that name gave must not send the engine round in a
 // circle: the engine, finding no kernel row for the name, serves the
@@ -351,41 +183,6 @@ func TestEngineRejectsBadQueries(t *testing.T) {
 	}
 	if _, err := eng.AllPairs(ctx, "no-such-measure"); err == nil {
 		t.Fatal("want error for unknown measure")
-	}
-}
-
-// SingleSourceInto must agree exactly with SingleSource and reuse the
-// caller's buffer.
-func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {
-	g := dataset.RMATDefault(6, 4, 11)
-	ctx := context.Background()
-	eng := simstar.NewEngine(g, simstar.WithK(4))
-	buf := make([]float64, 0, g.N())
-	for _, measure := range []string{
-		simstar.MeasureGeometric, simstar.MeasureExponential, simstar.MeasureRWR,
-		simstar.MeasureSimRank, // no fast path: exercises the fallback copy
-	} {
-		for q := 0; q < g.N(); q += 9 {
-			want, err := eng.SingleSource(ctx, measure, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.SingleSourceInto(ctx, measure, q, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cap(buf) >= g.N() && &got[0] != &buf[:1][0] {
-				t.Fatalf("SingleSourceInto did not reuse the caller's buffer")
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s q=%d node %d: Into %g vs SingleSource %g", measure, q, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	if _, err := eng.SingleSourceInto(ctx, simstar.MeasureGeometric, -1, buf); err == nil {
-		t.Fatal("out-of-range query not rejected")
 	}
 }
 

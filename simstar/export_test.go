@@ -1,6 +1,7 @@
 package simstar
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,14 @@ func RegisterForTest(t testing.TB, name string, f Factory) {
 func RegisterAliasForTest(t testing.TB, alias, name string) {
 	restoreAtCleanup(t, registry.aliases, strings.ToLower(alias))
 	RegisterAlias(alias, name)
+}
+
+// AliasesForTest returns every registered alias and the name it resolves
+// to, so a test can check that it covers each one.
+func AliasesForTest() map[string]string {
+	registry.RLock()
+	defer registry.RUnlock()
+	return maps.Clone(registry.aliases)
 }
 
 // restoreAtCleanup records m[key], or its absence, and puts it back when t

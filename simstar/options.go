@@ -44,10 +44,10 @@ type config struct {
 
 // cacheParams strips the serving knobs so that two configs computing the
 // same numbers share one result-cache key regardless of worker count,
-// cache capacity, or base epoch. Tolerances below MinTolerance normalise
-// to 0 for the same reason: they are served by the exact kernels, so their
-// results are the exact results — a distinct key would fragment the cache
-// and dodge the exact-donor probe.
+// cache capacity, or base epoch. A tolerance that does not make the query
+// sieved (see sieved) normalises to 0 for the same reason: such a query is
+// served by the exact kernels, so its result is the exact result — a
+// distinct key would fragment the cache and dodge the exact-donor probe.
 //
 // The directive below is the machine-checked contract (simlint's cachekey
 // analyzer): every field stripped here must be listed, and anything not
@@ -71,10 +71,20 @@ func (cfg config) cacheParams() config {
 	// (panics, surfaced as ErrKernelPanic); a query that survives to return
 	// a result returns the unperturbed result.
 	cfg.fault = nil
-	if cfg.tolerance < MinTolerance {
+	if !cfg.sieved() {
 		cfg.tolerance = 0
 	}
 	return cfg
+}
+
+// sieved reports whether cfg sends a measure with a kernel row down its
+// threshold-sieved kernel: a tolerance of at least MinTolerance and no
+// sieve. A sieved kernel applies no WithSieve threshold, and clipping its
+// output would not keep the certificate — an entry near the threshold can
+// move by about the threshold — so a query that sets a sieve runs exactly.
+// Every decision between the exact and the sieved path reads this.
+func (cfg config) sieved() bool {
+	return cfg.tolerance >= MinTolerance && !(cfg.sieve > 0)
 }
 
 // MinerOptions controls the biclique miner behind the memoized SimRank*
@@ -112,11 +122,16 @@ func WithK(k int) Option { return func(cfg *config) { cfg.k = k } }
 
 // WithEps derives the iteration count from the convergence bounds instead
 // of WithK: the smallest K with Cᵏ⁺¹ <= eps (geometric) or
-// Cᵏ⁺¹/(k+1)! <= eps (exponential).
+// Cᵏ⁺¹/(k+1)! <= eps (exponential). An eps at or above C (or NaN) resolves
+// zero iterations, which the measures whose own K <= 0 means "default"
+// cannot run: every call under it returns an error instead of scores, as
+// for an out-of-range C. A negative eps is ignored.
 func WithEps(eps float64) Option { return func(cfg *config) { cfg.eps = eps } }
 
 // WithSieve zeroes result entries below the threshold after the final
-// iteration (the paper clips at 1e-4 to save space).
+// iteration (the paper clips at 1e-4 to save space). A query that sets a
+// sieve is answered by the exact kernels even under WithTolerance, with a
+// zero certificate.
 func WithSieve(eps float64) Option { return func(cfg *config) { cfg.sieve = eps } }
 
 // MinTolerance is the smallest tolerance WithTolerance honours: below it
@@ -132,7 +147,10 @@ const MinTolerance = sparse.MinCertTolerance
 // any eps below MinTolerance serve exact results with a zero certificate.
 // Only the Engine fast-path measures (geometric and exponential SimRank*,
 // their memo variants, and RWR) have a sieved path; other measures ignore
-// the tolerance and answer exactly. The tolerance is part of the
+// the tolerance and answer exactly. So does a query that also sets
+// WithSieve: the sieved path applies no sieve, and a sieve applied after it
+// would void the certificate, so such a query runs the exact kernels and
+// reports a zero MaxError. The tolerance is part of the
 // result-cache key: an approximate entry can only be re-served to requests
 // with the identical tolerance (exact entries satisfy any tolerance).
 func WithTolerance(eps float64) Option { return func(cfg *config) { cfg.tolerance = eps } }
