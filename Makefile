@@ -6,7 +6,7 @@ GO ?= go
 # The staticcheck release CI pins; needs network on first run.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test perfbench-test perfbench-smoke race lint simlint staticcheck doccheck fmt bench-smoke bench-serve
+.PHONY: build test perfbench-test perfbench-smoke race lint simlint staticcheck doccheck fmt bench-smoke
 
 build:
 	$(GO) build ./...
@@ -53,8 +53,3 @@ fmt:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
-
-# The deterministic serving-path workload (CI runs the same profile and
-# uploads the report as an artifact).
-bench-serve:
-	$(GO) run ./cmd/simbench -profile tiny -seed 1 -out bench-serve.json

@@ -21,6 +21,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -68,7 +69,8 @@ type admissionConfig struct {
 	DegradeHigh int
 	DegradeLow  int
 	// DegradeTolerance is the certified error ceiling degraded queries are
-	// downgraded to.
+	// downgraded to; with degradation on it must be at least
+	// simstar.MinTolerance.
 	DegradeTolerance float64
 }
 
@@ -92,19 +94,26 @@ type admission struct {
 	degraded bool
 }
 
-// newAdmission builds the gate, clamping nonsense configurations: the queue
-// is never negative and the low watermark never exceeds the high one.
-func newAdmission(cfg admissionConfig) *admission {
+// newAdmission builds the gate, nil when cfg.Limit disables it, clamping
+// nonsense configurations: the queue is never negative and the low
+// watermark never exceeds the high one. With degradation on it refuses a
+// tolerance below simstar.MinTolerance, or NaN: the engine answers such a
+// query exactly, so the degraded marker and counter would report a
+// downgrade that never happened while the governor shed no work.
+func newAdmission(cfg admissionConfig) (*admission, error) {
+	if cfg.DegradeHigh > 0 && !(cfg.DegradeTolerance >= simstar.MinTolerance) {
+		return nil, fmt.Errorf("degrade tolerance %g: the engine honours tolerances of at least %g", cfg.DegradeTolerance, simstar.MinTolerance)
+	}
+	if cfg.Limit <= 0 {
+		return nil, nil
+	}
 	if cfg.Queue < 0 {
 		cfg.Queue = 0
 	}
 	if cfg.DegradeLow > cfg.DegradeHigh {
 		cfg.DegradeLow = cfg.DegradeHigh
 	}
-	if cfg.DegradeTolerance <= 0 {
-		cfg.DegradeTolerance = 1e-3
-	}
-	return &admission{cfg: cfg}
+	return &admission{cfg: cfg}, nil
 }
 
 // clampWeight bounds a request's token cost to the capacity, so a batch

@@ -71,7 +71,7 @@ func main() {
 	admitWait := flag.Duration("admit-wait", 100*time.Millisecond, "max time a request may wait in the admission queue before shedding with 503")
 	degradeHigh := flag.Int("degrade-high", 0, "queue depth at which the governor degrades eligible exact queries to the certified approximate path (0 = never degrade)")
 	degradeLow := flag.Int("degrade-low", 0, "queue depth at which the governor exits degraded mode (hysteresis)")
-	degradeTol := flag.Float64("degrade-tolerance", 1e-3, "certified error ceiling for degraded queries")
+	degradeTol := flag.Float64("degrade-tolerance", 1e-3, "certified error ceiling for degraded queries (at least 1e-9 when -degrade-high > 0)")
 	faultSpec := flag.String("fault", "", "fault-injection spec, e.g. 'kernel.panic:0.02,kernel.slow:0.1:2ms,snapshot.err:x2' (empty = no injection)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed of the deterministic fault schedule")
 	snapRetries := flag.Int("snapshot-retries", 2, "startup snapshot read retries before giving up")
@@ -101,15 +101,16 @@ func main() {
 	srv.snapPath = *snapPath
 	srv.logRequests = true
 	srv.faultHook = injector.Hook()
-	if *admitLimit > 0 {
-		srv.adm = newAdmission(admissionConfig{
-			Limit:            *admitLimit,
-			Queue:            *admitQueue,
-			Wait:             *admitWait,
-			DegradeHigh:      *degradeHigh,
-			DegradeLow:       *degradeLow,
-			DegradeTolerance: *degradeTol,
-		})
+	srv.adm, err = newAdmission(admissionConfig{
+		Limit:            *admitLimit,
+		Queue:            *admitQueue,
+		Wait:             *admitWait,
+		DegradeHigh:      *degradeHigh,
+		DegradeLow:       *degradeLow,
+		DegradeTolerance: *degradeTol,
+	})
+	if err != nil {
+		log.Fatalf("simserve: %v", err)
 	}
 	opts := func() []simstar.Option {
 		var opts []simstar.Option

@@ -73,8 +73,8 @@ func (s *server) initMetrics() {
 			return 0
 		})
 	// Resilience instruments: registered unconditionally (even when the
-	// admission gate is off) so the chaos CI job can assert on their
-	// presence and dashboards never branch on series absence.
+	// admission gate is off) so dashboards and tests never branch on
+	// series absence.
 	s.shedByReason = make(map[string]*obs.Counter)
 	for _, reason := range []string{shedQueueFull, shedQueueTimeout, shedDraining} {
 		s.shedByReason[reason] = s.reg.Counter("simstar_shed_total",

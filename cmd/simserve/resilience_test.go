@@ -23,7 +23,10 @@ import (
 func newAdmittedServer(t *testing.T, cfg admissionConfig, hook func(site string)) (*server, http.Handler) {
 	t.Helper()
 	s := newServer()
-	s.adm = newAdmission(cfg)
+	var err error
+	if s.adm, err = newAdmission(cfg); err != nil {
+		t.Fatal(err)
+	}
 	s.faultHook = hook
 	h := s.handler()
 	loadTestGraph(t, h)
@@ -218,6 +221,17 @@ func TestDegradedModeCertified(t *testing.T) {
 	}
 	if rec.Code != http.StatusOK || sv.Degraded || sv.MaxError != 0 {
 		t.Fatalf("sieve query was degraded: %d %+v", rec.Code, sv)
+	}
+	// Below simstar.MinTolerance, or NaN, the engine answers exactly, so a
+	// governor degrading to such a ceiling would mark exact answers
+	// degraded: the gate refuses it whenever degradation is on.
+	for _, tol := range []float64{0, 1e-12, math.NaN()} {
+		if _, err := newAdmission(admissionConfig{Limit: 4, DegradeHigh: 1, DegradeTolerance: tol}); err == nil {
+			t.Errorf("degrade tolerance %g accepted", tol)
+		}
+		if _, err := newAdmission(admissionConfig{Limit: 4, DegradeTolerance: tol}); err != nil {
+			t.Errorf("degrade tolerance %g refused with degradation off: %v", tol, err)
+		}
 	}
 }
 

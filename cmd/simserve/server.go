@@ -75,8 +75,8 @@ type server struct {
 	// real queries.
 	faultHook func(site string)
 
-	// Resilience instruments (registered unconditionally in initMetrics so
-	// the chaos CI job can assert on their presence even at zero).
+	// Resilience instruments (registered unconditionally in initMetrics, so
+	// they are exported even at zero).
 	shedByReason    map[string]*obs.Counter
 	degradedTotal   *obs.Counter
 	queueWait       *obs.Histogram

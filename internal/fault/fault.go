@@ -1,11 +1,11 @@
 // Package fault is the deterministic fault-injection harness behind
-// `simserve -fault` and `simbench -chaos`: a seeded Injector parsed from a
-// compact spec string decides, at named points in the serving path, whether
-// to panic, sleep, or fail an I/O read. Every decision is drawn from a
-// per-point counter-driven PRNG stream — no clocks, no global rand — so the
-// same (seed, spec) pair replays the identical fault schedule on every run,
-// which is what lets the CI chaos job assert exact availability and
-// certificate guarantees instead of flaky ones.
+// `simserve -fault` and simserve's storm test: a seeded Injector parsed
+// from a compact spec string decides, at named points in the serving path,
+// whether to panic, sleep, or fail an I/O read. Every decision is drawn
+// from a per-point counter-driven PRNG stream — no clocks, no global rand —
+// so the same (seed, spec) pair replays the identical fault schedule, by
+// draw index, on every run, which is what lets a test assert that faults
+// fired and that availability and certificates held instead of flaking.
 //
 // Spec grammar (comma-separated entries):
 //
@@ -220,8 +220,8 @@ func (fr *faultReader) Read(p []byte) (int, error) {
 }
 
 // Counts reports, per configured point, how many draws fired so far — the
-// injector's own ledger, used by tests and chaos reports to cross-check the
-// schedule actually exercised.
+// injector's own ledger, used by tests to cross-check the schedule actually
+// exercised.
 func (in *Injector) Counts() map[string]uint64 {
 	if in == nil {
 		return nil

@@ -203,7 +203,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // Snapshot returns every sample the exposition would render, keyed
 // "name{labels}" (histograms as their _count and _sum samples). It is the
-// programmatic view behind metrics-delta reporting in cmd/simbench.
+// programmatic view behind simserve's /v1/stats query counts.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -308,9 +308,9 @@ func formatValue(v float64) string {
 // returning the samples keyed exactly as Snapshot renders them
 // ("name{labels}"). It enforces the structural rules a scrape must hold:
 // TYPE lines name a known kind, metric names and label syntax match the
-// grammar, and every sample value parses as a float. It exists so tests and
-// cmd/simbench can assert a /metrics body is well-formed without a
-// Prometheus dependency.
+// grammar, and every sample value parses as a float. It exists so tests
+// can assert a /metrics body is well-formed, and read its samples, without
+// a Prometheus dependency.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)
